@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.core import (
     ConsolidationModel,
     ETransformPlanner,
     ModelOptions,
     PlannerOptions,
-    plan_consolidation,
 )
 from repro.datasets import load_enterprise1
-from repro.lp import SolveStatus, solve
+from repro.lp import SolveOptions, SolveStatus, solve
 
 from .conftest import run_once
 
@@ -33,10 +33,20 @@ def test_bench_ablation_economies_of_scale(benchmark, archive):
     state = load_enterprise1()
 
     def run():
-        with_scale = plan_consolidation(state, backend="highs", **GAP)
-        flat = plan_consolidation(
-            state, backend="highs", economies_of_scale=False, **GAP
-        )
+        with_scale = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(backend="highs", solver_options=GAP),
+        ).plan
+        flat = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs",
+                economies_of_scale=False,
+                solver_options=GAP,
+            ),
+        ).plan
         return with_scale, flat
 
     with_scale, flat = run_once(benchmark, run)
@@ -67,9 +77,15 @@ def test_bench_ablation_shared_vs_dedicated_pools(benchmark, archive):
     state = load_enterprise1(scale=0.2)
 
     def run():
-        shared = plan_consolidation(
-            state, enable_dr=True, backend="highs", mip_rel_gap=0.02, time_limit=90
-        )
+        shared = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                enable_dr=True,
+                backend="highs",
+                solve_options=SolveOptions(mip_rel_gap=0.02, time_limit=90),
+            ),
+        ).plan
         planner = ETransformPlanner(
             state,
             PlannerOptions(
@@ -79,7 +95,7 @@ def test_bench_ablation_shared_vs_dedicated_pools(benchmark, archive):
                 solver_options={"mip_rel_gap": 0.02, "time_limit": 90},
             ),
         )
-        dedicated = planner.plan()
+        dedicated = planner.build_plan()
         return shared, dedicated
 
     shared, dedicated = run_once(benchmark, run)
@@ -99,8 +115,24 @@ def test_bench_ablation_wan_models(benchmark, archive):
     state = load_enterprise1(scale=0.3)
 
     def run():
-        metered = plan_consolidation(state, backend="highs", wan_model="metered", **GAP)
-        vpn = plan_consolidation(state, backend="highs", wan_model="vpn", **GAP)
+        metered = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs",
+                wan_model="metered",
+                solver_options=GAP,
+            ),
+        ).plan
+        vpn = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs",
+                wan_model="vpn",
+                solver_options=GAP,
+            ),
+        ).plan
         return metered, vpn
 
     metered, vpn = run_once(benchmark, run)
@@ -124,7 +156,11 @@ def test_bench_ablation_solver_backends(benchmark, archive):
 
     def run():
         highs = solve(model.problem, backend="highs")
-        bb = solve(model.problem, backend="branch_bound", node_limit=50_000)
+        bb = solve(
+            model.problem,
+            backend="branch_bound",
+            options=SolveOptions(node_limit=50_000),
+        )
         rounding = solve(model.problem, backend="rounding")
         return highs, bb, rounding
 

@@ -1,8 +1,7 @@
 """Optimization-engine benchmarks: the substrate itself.
 
 Timings of the from-scratch components against the HiGHS reference on
-consolidation-shaped instances, plus the effect of presolve and cover
-cuts.  These are throughput benchmarks (pytest-benchmark runs them
+consolidation-shaped instances, plus the effect of cover cuts.  These are throughput benchmarks (pytest-benchmark runs them
 repeatedly), unlike the run-once experiment benches.
 """
 
@@ -12,7 +11,7 @@ import pytest
 
 from repro.core import ConsolidationModel, ModelOptions
 from repro.datasets import load_enterprise1
-from repro.lp import SolveStatus, solve, solve_with_presolve
+from repro.lp import SolveOptions, SolveStatus, solve
 from repro.lp.standard_form import to_matrix_form
 
 
@@ -48,7 +47,11 @@ def test_bench_highs_small(benchmark, small_model):
 
 def test_bench_branch_bound_small(benchmark, small_model):
     sol = benchmark(
-        lambda: solve(small_model, backend="branch_bound", node_limit=50_000)
+        lambda: solve(
+            small_model,
+            backend="branch_bound",
+            options=SolveOptions(node_limit=50_000),
+        )
     )
     assert sol.status is SolveStatus.OPTIMAL
 
@@ -56,15 +59,11 @@ def test_bench_branch_bound_small(benchmark, small_model):
 def test_bench_branch_bound_with_cuts_small(benchmark, small_model):
     sol = benchmark(
         lambda: solve(
-            small_model, backend="branch_bound",
-            node_limit=50_000, cover_cut_rounds=3,
+            small_model,
+            backend="branch_bound",
+            options=SolveOptions(node_limit=50_000, cover_cut_rounds=3),
         )
     )
-    assert sol.status is SolveStatus.OPTIMAL
-
-
-def test_bench_presolve_plus_highs_medium(benchmark, medium_model):
-    sol = benchmark(lambda: solve_with_presolve(medium_model, backend="highs"))
     assert sol.status is SolveStatus.OPTIMAL
 
 
@@ -74,11 +73,9 @@ def test_bench_highs_medium(benchmark, medium_model):
 
 
 def test_bench_exactness_cross_check(benchmark, small_model):
-    """The three exact paths agree on the same instance."""
+    """The two exact backends agree on the same instance."""
     highs = benchmark.pedantic(
         lambda: solve(small_model, backend="highs"), rounds=1, iterations=1
     )
     bb = solve(small_model, backend="branch_bound")
-    pre = solve_with_presolve(small_model, backend="highs")
     assert highs.objective == pytest.approx(bb.objective, rel=1e-6)
-    assert highs.objective == pytest.approx(pre.objective, rel=1e-6)

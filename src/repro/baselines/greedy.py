@@ -13,8 +13,6 @@ same marginal logic, adding the incremental shared-pool server purchase.
 
 from __future__ import annotations
 
-import warnings
-
 from ..core.entities import ApplicationGroup, AsIsState, DataCenter
 from ..core.plan import TransformationPlan, evaluate_plan
 from ..core.wan import inter_site_wan_price, undirected_peer_traffic, wan_cost
@@ -70,29 +68,6 @@ def _peer_split_cost(
             continue
         total += traffic * inter_site_wan_price(dc, sites[other_site])
     return total
-
-
-def greedy_plan(
-    state: AsIsState,
-    enable_dr: bool = False,
-    wan_model: str = "metered",
-) -> TransformationPlan:
-    """Deprecated wrapper; use ``repro.solve(state, method="greedy")``.
-
-    Thin shim over the unified entry point — identical plans, plus the
-    typed :class:`repro.api.PlanResult` envelope when called there.
-    """
-    warnings.warn(
-        "greedy_plan() is deprecated; use repro.solve(state, "
-        "method='greedy', options=PlannerOptions(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import solve as unified_solve
-    from ..core.planner import PlannerOptions
-
-    options = PlannerOptions(enable_dr=enable_dr, wan_model=wan_model)
-    return unified_solve(state, method="greedy", options=options).plan
 
 
 def run_greedy(

@@ -70,11 +70,6 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     parser.add_argument("--mip-gap", type=float, default=None, metavar="FRACTION")
     parser.add_argument(
-        "--presolve",
-        action="store_true",
-        help="run the safe presolve reductions before the real solve",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print per-solve search statistics (nodes, iterations, gap, presolve)",
@@ -138,7 +133,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             backend=args.backend,
             solver_options=_solver_options(args),
             lp_export_path=args.lp_export,
-            presolve=args.presolve,
             method=args.method,
             jobs=args.jobs,
         )
@@ -203,7 +197,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     state = _load_state_checked(args.input)
     options = PlannerOptions(
         enable_dr=args.dr, backend=args.backend,
-        solver_options=_solver_options(args), presolve=args.presolve,
+        solver_options=_solver_options(args),
     )
     plan = ETransformPlanner(state, options).build_plan()
     config = MigrationConfig(
@@ -222,7 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     state = _load_state_checked(args.input)
     options = PlannerOptions(
         enable_dr=args.dr, backend=args.backend,
-        solver_options=_solver_options(args), presolve=args.presolve,
+        solver_options=_solver_options(args),
     )
     plan = ETransformPlanner(state, options).build_plan()
     config = SimulatorConfig(
@@ -242,8 +236,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
     state = _load_state_checked(args.input)
     options = PlannerOptions(backend=args.backend,
-                             solver_options=_solver_options(args),
-                             presolve=args.presolve)
+                             solver_options=_solver_options(args))
     result = run_sensitivity(state, args.dimension, options=options)
     print(result.render())
     return 0
@@ -254,8 +247,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
     state = _load_state_checked(args.input)
     options = PlannerOptions(backend=args.backend,
-                             solver_options=_solver_options(args),
-                             presolve=args.presolve)
+                             solver_options=_solver_options(args))
     result = run_robustness(
         state, sigma=args.sigma, samples=args.samples, options=options
     )
@@ -307,7 +299,6 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     options = PlannerOptions(
         backend=args.backend,
         solver_options=_solver_options(args),
-        presolve=args.presolve,
     )
     session = IterativeSession(state, options, incremental=not args.cold)
     mode = "cold rebuild" if args.cold else "incremental"
@@ -395,7 +386,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     options = PlannerOptions(
         backend=args.backend,
         solver_options=_solver_options(args),
-        presolve=args.presolve,
     )
     result = run_replay(state, load_events, outages, config, options)
 

@@ -28,7 +28,7 @@ from .plan import (
     evaluate_plan,
     shared_backup_requirements,
 )
-from .planner import ETransformPlanner, PlannerOptions, PlanningError, plan_consolidation
+from .planner import ETransformPlanner, PlannerOptions, PlanningError
 from .splitting import (
     SplitRecord,
     SplitResult,
@@ -83,7 +83,6 @@ __all__ = [
     "solve_decomposition",
     "improve_plan",
     "monthly_power_cost_per_kw",
-    "plan_consolidation",
     "shared_backup_requirements",
     "validate_plan",
     "validate_state",

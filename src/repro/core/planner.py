@@ -10,17 +10,9 @@ modification.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from ..lp import (
-    SolveCache,
-    SolveOptions,
-    SolveStatus,
-    solve,
-    solve_with_presolve,
-    write_lp_file,
-)
+from ..lp import SolveCache, SolveOptions, SolveStatus, solve, write_lp_file
 from .formulation import ConsolidationModel, ModelOptions
 from .entities import AsIsState
 from .plan import TransformationPlan, evaluate_plan
@@ -41,9 +33,6 @@ class PlannerOptions:
     and is mapped onto the same record — set one or the other, not both.
     ``lp_export_path`` optionally dumps the model in CPLEX LP format
     before solving, mirroring the paper's LP-file hand-off.
-    ``presolve`` routes the solve through
-    :func:`repro.lp.solve_with_presolve`, so the plan's solver stats
-    also report rows/columns eliminated before the real solve.
 
     ``method`` selects the planning engine for :func:`repro.solve`
     (``"auto"``, ``"milp"``, ``"decomposition"`` or ``"greedy"``);
@@ -60,7 +49,6 @@ class PlannerOptions:
     solve_options: SolveOptions | None = None
     lp_export_path: str | None = None
     validate_inputs: bool = True
-    presolve: bool = False
     method: str = "auto"
     jobs: int = 1
 
@@ -75,7 +63,6 @@ class PlannerOptions:
         "dedicated_backups",
         "backend",
         "solver_options",
-        "presolve",
         "method",
         "jobs",
     )
@@ -133,7 +120,6 @@ class PlannerOptions:
             "dedicated_backups": self.dedicated_backups,
             "backend": self.backend,
             "solver_options": dict(self.solver_options),
-            "presolve": self.presolve,
             "method": self.method,
             "jobs": self.jobs,
         }
@@ -182,8 +168,7 @@ class ETransformPlanner:
         """Build, solve and score the transformation plan (MILP path).
 
         This is the monolithic-MILP engine behind
-        ``repro.solve(state, method="milp")``; prefer that entry point
-        in new code.
+        ``repro.solve(state, method="milp")``.
 
         Raises
         ------
@@ -192,46 +177,23 @@ class ETransformPlanner:
         """
         return self.finish_plan(self.solve_model())
 
-    def plan(self) -> TransformationPlan:
-        """Deprecated alias of :meth:`build_plan`.
-
-        Use :func:`repro.solve` (which also unlocks the decomposition
-        and greedy engines via ``method=``) or :meth:`build_plan`.
-        """
-        warnings.warn(
-            "ETransformPlanner.plan() is deprecated; use "
-            "repro.solve(state, options=...) or build_plan()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.build_plan()
-
     def solve_model(self, cache: SolveCache | None = None):
         """Solve the built model and return the raw solution.
 
         ``cache`` routes the solve through a :class:`repro.lp.SolveCache`
         so a refinement session's re-solves can reuse previous work; the
         incremental engine (:mod:`repro.core.incremental`) passes the
-        session cache here.  Presolve rebuilds a reduced problem per
-        call, so it bypasses the cache.
+        session cache here.
         """
         if self.options.lp_export_path:
             write_lp_file(self.model.problem, self.options.lp_export_path)
 
-        solve_options = self.options.resolved_solve_options()
-        if self.options.presolve:
-            solution = solve_with_presolve(
-                self.model.problem,
-                backend=self.options.backend,
-                options=solve_options,
-            )
-        else:
-            solution = solve(
-                self.model.problem,
-                backend=self.options.backend,
-                options=solve_options,
-                cache=cache,
-            )
+        solution = solve(
+            self.model.problem,
+            backend=self.options.backend,
+            options=self.options.resolved_solve_options(),
+            cache=cache,
+        )
         self.last_solution = solution
         if solution.status is SolveStatus.INFEASIBLE:
             raise PlanningError(
@@ -269,34 +231,3 @@ class ETransformPlanner:
         plan.solver_stats = solution.stats
         validate_plan(state, plan)
         return plan
-
-
-def plan_consolidation(
-    state: AsIsState,
-    enable_dr: bool = False,
-    backend: str = "auto",
-    wan_model: str = "metered",
-    economies_of_scale: bool = True,
-    **solver_options,
-) -> TransformationPlan:
-    """Deprecated one-call wrapper; use :func:`repro.solve` instead.
-
-    Kept as a thin shim over the unified entry point — it always runs
-    the monolithic MILP engine, exactly as it did before the redesign.
-    """
-    warnings.warn(
-        "plan_consolidation() is deprecated; use "
-        "repro.solve(state, method='milp', options=PlannerOptions(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import solve as unified_solve
-
-    options = PlannerOptions(
-        wan_model=wan_model,
-        economies_of_scale=economies_of_scale,
-        enable_dr=enable_dr,
-        backend=backend,
-        solver_options=solver_options,
-    )
-    return unified_solve(state, method="milp", options=options).plan

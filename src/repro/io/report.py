@@ -51,7 +51,6 @@ def render_solve_stats(stats: SolveStats) -> str:
         f"  best bound                     {_bound(stats.best_bound)}",
         f"  best-bound gap                 {_gap(stats.mip_gap)}",
         "  presolve reductions            "
-        f"{stats.presolve_fixed_variables} vars fixed, "
         f"{stats.presolve_dropped_constraints} rows dropped, "
         f"{stats.presolve_tightened_bounds} bounds tightened "
         f"({stats.presolve_rounds} rounds)",

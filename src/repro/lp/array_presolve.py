@@ -1,11 +1,11 @@
 """Array-level presolve over the CSC constraint blocks.
 
-:mod:`repro.lp.presolve` reduces *models* (``Problem`` objects) by
-rewriting expressions; that is the right layer for the public
-``solve_with_presolve`` entry point but far too slow to sit in front of
-every relaxation build.  This module is the matrix-space counterpart: it
-works directly on the ``(a_ub, b_ub, a_eq, b_eq, lb, ub)`` arrays that
-:class:`~repro.lp.matrix_lp.RelaxationContext` and
+The repository's one presolver.  It runs by default inside every
+:class:`~repro.lp.matrix_lp.RelaxationContext`, which the
+``branch_bound`` and ``rounding`` backends build;
+``SolveOptions(presolve=False)`` turns it off.  HiGHS presolves inside
+its own call.  It works directly on the
+``(a_ub, b_ub, a_eq, b_eq, lb, ub)`` arrays that the context and
 :func:`~repro.lp.matrix_lp.solve_lp_arrays` already carry, using the
 :class:`~repro.lp.sparse.CSCMatrix` entry arrays so each round is a
 handful of vectorized scatters — O(nnz), no Python per-row loops.
@@ -55,9 +55,8 @@ class ArrayPresolveResult:
     """Reductions found by :func:`presolve_arrays`.
 
     ``keep_ub``/``keep_eq`` are row masks over the original blocks;
-    ``lb``/``ub`` are the tightened root bounds.  Counters mirror the
-    model-level :class:`~repro.lp.presolve.PresolveStats` so telemetry
-    can merge either source.
+    ``lb``/``ub`` are the tightened root bounds.  The counters feed the
+    ``presolve_*`` fields of :class:`~repro.telemetry.SolveStats`.
     """
 
     keep_ub: np.ndarray

@@ -40,10 +40,6 @@ INT_TOL = 1e-6
 #: Cap on recorded gap-trajectory points (bounds memory on big searches).
 _MAX_TRAJECTORY_POINTS = 1000
 
-#: Backwards-compatible alias — the old ad-hoc stats record is now the
-#: shared telemetry schema.
-BranchBoundStats = SolveStats
-
 
 @dataclass(order=True)
 class _Node:
@@ -192,18 +188,15 @@ def _reduced_cost_fixing(
     tree reduction: a cold solve finds its first incumbent mid-search,
     after the root's children are already cast.
     """
-    reduced = getattr(context, "reduced_costs", None)
-    d = reduced(getattr(relax, "duals", None)) if reduced is not None else None
+    d = context.reduced_costs(relax.duals)
     if d is None:
         return 0
     slack = cutoff - relax.objective
     if not math.isfinite(slack) or slack < 0.0:
         return 0
     x = relax.x
-    eff_lb = getattr(context, "_eff_lb", None)
-    eff_ub = getattr(context, "_eff_ub", None)
-    lb = node.lb if eff_lb is None else np.maximum(node.lb, eff_lb)
-    ub = node.ub if eff_ub is None else np.minimum(node.ub, eff_ub)
+    lb = np.maximum(node.lb, context._eff_lb)
+    ub = np.minimum(node.ub, context._eff_ub)
     open_var = integral & (ub > lb + INT_TOL)
     threshold = max(slack, 1e-7)
     at_lb = open_var & (x <= lb + INT_TOL) & (d >= threshold)
@@ -347,14 +340,13 @@ def solve_branch_and_bound(
     context_counters_start = (
         context.warm_start_hits, context.warm_start_misses,
         context.cache_hits, context.node_solves,
-        getattr(context, "dual_entries", 0),
-        getattr(context, "dual_fallbacks", 0),
-        getattr(context, "extension_dual_entries", 0),
+        context.dual_entries, context.dual_fallbacks,
+        context.extension_dual_entries,
     )
     stats.merge_presolve(
-        dropped_constraints=getattr(context, "presolve_rows_dropped", 0),
-        tightened_bounds=getattr(context, "presolve_bounds_tightened", 0),
-        rounds=getattr(context, "presolve_rounds", 0),
+        dropped_constraints=context.presolve_rows_dropped,
+        tightened_bounds=context.presolve_bounds_tightened,
+        rounds=context.presolve_rounds,
     )
 
     root_warm = basis_io.get("root") if basis_io else None
@@ -450,11 +442,9 @@ def solve_branch_and_bound(
          extdual0) = context_counters_start
         stats.warm_start_hits = context.warm_start_hits - hits0
         stats.warm_start_misses = context.warm_start_misses - misses0
-        stats.dual_entries = getattr(context, "dual_entries", 0) - dual0
-        stats.dual_fallbacks = getattr(context, "dual_fallbacks", 0) - dfall0
-        stats.extension_dual_entries = (
-            getattr(context, "extension_dual_entries", 0) - extdual0
-        )
+        stats.dual_entries = context.dual_entries - dual0
+        stats.dual_fallbacks = context.dual_fallbacks - dfall0
+        stats.extension_dual_entries = context.extension_dual_entries - extdual0
         stats.extra["relaxation_cache_hits"] = float(context.cache_hits - cache0)
         stats.extra["relaxation_node_solves"] = float(context.node_solves - solves0)
         values: dict = {}

@@ -185,11 +185,11 @@ class RelaxationContext:
         integrality: np.ndarray | None = None,
     ) -> None:
         self.engine = engine
-        # "builtin" is an alias for the revised core; the dense tableau
-        # stays reachable as "tableau".  Unknown engines are only
-        # rejected at solve() time (constructing a context is cheap and
-        # side-effect free for them).
-        self._mode = {"builtin": "revised", "revised": "revised"}.get(engine, engine)
+        # "builtin" runs the revised core; the dense tableau stays
+        # reachable as "tableau".  Unknown engines are only rejected at
+        # solve() time (constructing a context is cheap and side-effect
+        # free for them).
+        self._mode = "revised" if engine == "builtin" else engine
         self.max_iterations = max_iterations
         self.c = np.asarray(c, dtype=float)
         self.a_ub = np.asarray(a_ub, dtype=float)

@@ -5,17 +5,14 @@ flags it did not understand (``mip_rel_gap`` on ``branch_bound``,
 ``cover_cut_rounds`` on ``simplex``, ...).  :class:`SolveOptions` is the
 replacement: a frozen dataclass carrying every knob any backend accepts,
 plus a per-backend capability table so :func:`SolveOptions.validate_for`
-can reject an option the chosen backend would ignore.
-
-The old keyword style still works through :func:`options_from_kwargs`
-(used by :func:`repro.lp.solve`'s back-compat shim); it emits a
-``DeprecationWarning`` and maps onto the typed record.
+can reject an option the chosen backend would ignore.  Built-in
+backends take options only through this record; keyword options are
+reserved for externally registered backends.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -42,7 +39,7 @@ class SolveOptions:
     relaxation_engine:
         Which LP engine solves node relaxations (``branch_bound``,
         ``rounding``): ``"highs"``, ``"builtin"`` (the sparse revised
-        simplex; ``"revised"`` is an explicit alias), or ``"tableau"``
+        simplex), or ``"tableau"``
         (the historical dense full-tableau simplex, kept for
         cross-checking).
     cover_cut_rounds:
@@ -87,10 +84,10 @@ class SolveOptions:
             raise ValueError("gap_tolerance cannot be negative")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.relaxation_engine not in ("highs", "builtin", "revised", "tableau"):
+        if self.relaxation_engine not in ("highs", "builtin", "tableau"):
             raise ValueError(
                 f"unknown relaxation engine {self.relaxation_engine!r}; "
-                "expected 'highs', 'builtin', 'revised' or 'tableau'"
+                "expected 'highs', 'builtin' or 'tableau'"
             )
         if self.cover_cut_rounds < 0:
             raise ValueError("cover_cut_rounds cannot be negative")
@@ -179,27 +176,3 @@ BACKEND_OPTION_FIELDS: dict[str, frozenset[str]] = {
         }
     ),
 }
-
-_VALID_KWARGS = frozenset(f.name for f in fields(SolveOptions))
-
-
-def options_from_kwargs(backend: str, kwargs: Mapping[str, object]) -> SolveOptions:
-    """Map legacy ``solve(..., **options)`` keywords onto :class:`SolveOptions`.
-
-    Emits a ``DeprecationWarning`` pointing at the typed replacement and
-    rejects keywords that never existed, instead of forwarding them into
-    a backend that would drop them on the floor.
-    """
-    unknown = set(kwargs) - _VALID_KWARGS
-    if unknown:
-        raise TypeError(
-            f"unknown solver option(s) {', '.join(sorted(unknown))}; "
-            f"valid options: {', '.join(sorted(_VALID_KWARGS))}"
-        )
-    warnings.warn(
-        "passing solver options as keywords is deprecated; build a "
-        "repro.lp.SolveOptions and pass it as solve(..., options=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SolveOptions(**kwargs).validate_for(backend)

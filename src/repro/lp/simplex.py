@@ -1,8 +1,8 @@
 """From-scratch dense two-phase primal simplex.
 
 This is the reproduction's stand-in for the LP core of a commercial
-solver.  It works on the equality standard form produced by
-:func:`repro.lp.standard_form.to_standard_form`:
+solver.  It works on the equality standard form that the ``tableau``
+engine of :class:`repro.lp.matrix_lp.RelaxationContext` builds:
 
     min c'x   s.t.  A x = b,  x >= 0,  b >= 0
 

@@ -15,10 +15,10 @@ Backends:
     ``highs`` when available, else ``branch_bound[builtin]``.
 
 Options are carried by a typed :class:`~repro.lp.options.SolveOptions`
-record validated against the chosen backend; the old ``**kwargs`` style
-still works but warns ``DeprecationWarning``.  Externally registered
-backends (:func:`register_backend`) keep the ``fn(problem, **options)``
-calling convention.
+record validated against the chosen backend; built-in backends reject
+keyword options.  Externally registered backends
+(:func:`register_backend`) keep the ``fn(problem, **options)`` calling
+convention.
 
 Every solve that passes through :func:`solve` is recorded by the
 telemetry layer: the ``solves.*`` counters are bumped and — when a trace
@@ -49,7 +49,7 @@ from .fingerprint import (
     structure_fingerprint,
 )
 from .matrix_lp import RelaxationContext, solve_lp_arrays
-from .options import SolveOptions, options_from_kwargs
+from .options import SolveOptions
 from .problem import Problem
 from .rounding import solve_with_rounding
 from .solution import Solution, SolveStatus
@@ -195,15 +195,14 @@ def solve(
     backend: str = "auto",
     options: SolveOptions | None = None,
     cache: "SolveCache | None" = None,
-    **legacy_options,
+    **backend_options,
 ) -> Solution:
     """Solve ``problem`` with the named backend.
 
-    ``options`` is the typed way to configure the solve; it is validated
-    against the chosen backend so engine-specific flags can no longer be
-    silently ignored.  Extra keyword options are still accepted for
-    backwards compatibility (``time_limit=...``), emit a
-    ``DeprecationWarning``, and cannot be combined with ``options``.
+    ``options`` configures the solve; it is validated against the chosen
+    backend so engine-specific flags can never be silently ignored.
+    Keyword options are forwarded only to externally registered
+    backends; a built-in backend raises ``TypeError`` for them.
 
     ``cache`` routes the call through a :class:`SolveCache`:
     fingerprint-identical re-solves return the cached solution, and
@@ -217,21 +216,20 @@ def solve(
         ) from None
 
     if backend in _TYPED_BACKENDS:
-        if legacy_options:
-            if options is not None:
-                raise TypeError(
-                    "pass either a SolveOptions record or keyword options, not both"
-                )
-            options = options_from_kwargs(backend, legacy_options)
-        else:
-            options = (options or SolveOptions()).validate_for(backend)
+        if backend_options:
+            raise TypeError(
+                f"backend {backend!r} takes no keyword options "
+                f"({', '.join(sorted(backend_options))}); pass "
+                "options=SolveOptions(...) instead"
+            )
+        options = (options or SolveOptions()).validate_for(backend)
         if cache is not None:
             return cache.solve(problem, backend, options)
         call = lambda: fn(problem, options)
     else:
         if options is not None:
-            legacy_options = dict(options.as_kwargs(), **legacy_options)
-        call = lambda: fn(problem, **legacy_options)
+            backend_options = dict(options.as_kwargs(), **backend_options)
+        call = lambda: fn(problem, **backend_options)
 
     start = time.monotonic()
     solution = call()

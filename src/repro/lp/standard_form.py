@@ -1,27 +1,22 @@
-"""Conversion of a :class:`~repro.lp.problem.Problem` to matrix forms.
+"""Dense matrix view of a :class:`~repro.lp.problem.Problem`.
 
-Two conversions are provided:
-
-* :func:`to_matrix_form` — the natural inequality form used by the HiGHS
-  backend (``A_ub x <= b_ub``, ``A_eq x = b_eq`` plus bounds).  The
-  matrices are a dense view **derived from** the shared sparse assembly
-  (:func:`repro.lp.sparse.constraint_blocks`) — the same traversal the
-  HiGHS backend, the revised simplex core, and the fingerprint layer
-  consume, so the engines cannot disagree about the model.
-* :func:`to_standard_form` — equality standard form ``min c'x, Ax = b,
-  x >= 0`` used by the dense tableau simplex.  Variable shifts and
-  free-variable splits are recorded so the original solution can be
-  recovered with :meth:`StandardForm.recover`.
+:func:`to_matrix_form` gives the natural inequality form
+(``A_ub x <= b_ub``, ``A_eq x = b_eq`` plus bounds) that the
+``branch_bound``, ``rounding`` and ``simplex`` backends consume.  The
+matrices are a dense view **derived from** the shared sparse assembly
+(:func:`repro.lp.sparse.constraint_blocks`) — the same traversal the
+HiGHS backend, the revised simplex core, and the fingerprint layer
+consume, so the engines cannot disagree about the model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expressions import Sense, Variable
-from .problem import ObjectiveSense, Problem
+from .problem import Problem
 from .sparse import bound_arrays, constraint_blocks, objective_arrays
 
 
@@ -83,123 +78,5 @@ def to_matrix_form(problem: Problem) -> MatrixForm:
         lb=lb,
         ub=ub,
         integrality=integrality,
-        objective_sign=sign,
-    )
-
-
-@dataclass
-class StandardForm:
-    """Equality standard form ``min c'x + c0, A x = b, x >= 0``.
-
-    ``plus_index`` / ``minus_index`` map each original variable to its
-    column(s): shifted variables use only ``plus_index``; free variables
-    are split as ``x = x_plus - x_minus``.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    c0: float
-    variables: list[Variable] = field(default_factory=list)
-    plus_index: dict[Variable, int] = field(default_factory=dict)
-    minus_index: dict[Variable, int] = field(default_factory=dict)
-    shift: dict[Variable, float] = field(default_factory=dict)
-    objective_sign: float = 1.0
-
-    def recover(self, x: np.ndarray) -> dict[Variable, float]:
-        """Map a standard-form point back to original variable values."""
-        values: dict[Variable, float] = {}
-        for var in self.variables:
-            val = x[self.plus_index[var]]
-            if var in self.minus_index:
-                val -= x[self.minus_index[var]]
-            values[var] = val + self.shift.get(var, 0.0)
-        return values
-
-
-def to_standard_form(problem: Problem) -> StandardForm:
-    """Convert to equality standard form with non-negative variables.
-
-    Finite lower bounds are shifted out (``x = x' + lb``); finite upper
-    bounds become explicit ``<=`` rows; free variables are split into a
-    difference of two non-negative columns.
-    """
-    variables = problem.variables
-    sign = 1.0 if problem.sense == ObjectiveSense.MINIMIZE else -1.0
-
-    plus_index: dict[Variable, int] = {}
-    minus_index: dict[Variable, int] = {}
-    shift: dict[Variable, float] = {}
-    ncols = 0
-    for var in variables:
-        plus_index[var] = ncols
-        ncols += 1
-        if var.lb is None:
-            minus_index[var] = ncols
-            ncols += 1
-        else:
-            shift[var] = var.lb
-
-    # Rows: original constraints plus upper-bound rows.
-    rows: list[tuple[dict[int, float], Sense, float]] = []
-    for con in problem.constraints:
-        coefs: dict[int, float] = {}
-        rhs = con.rhs
-        for var, coef in con.expr.terms().items():
-            coefs[plus_index[var]] = coefs.get(plus_index[var], 0.0) + coef
-            if var in minus_index:
-                coefs[minus_index[var]] = coefs.get(minus_index[var], 0.0) - coef
-            rhs -= coef * shift.get(var, 0.0)
-        rows.append((coefs, con.sense, rhs))
-    for var in variables:
-        if var.ub is not None:
-            bound = var.ub - shift.get(var, 0.0)
-            # A free variable's bound constrains x_plus - x_minus, not
-            # x_plus alone — dropping the minus column would misreport a
-            # negative upper bound as infeasible.
-            coefs = {plus_index[var]: 1.0}
-            if var in minus_index:
-                coefs[minus_index[var]] = -1.0
-            rows.append((coefs, Sense.LE, bound))
-
-    # Count slack columns needed.
-    nslack = sum(1 for _, sense, _ in rows if sense is not Sense.EQ)
-    total = ncols + nslack
-    a = np.zeros((len(rows), total))
-    b = np.zeros(len(rows))
-    slack_col = ncols
-    for r, (coefs, sense, rhs) in enumerate(rows):
-        for col, coef in coefs.items():
-            a[r, col] = coef
-        b[r] = rhs
-        if sense is Sense.LE:
-            a[r, slack_col] = 1.0
-            slack_col += 1
-        elif sense is Sense.GE:
-            a[r, slack_col] = -1.0
-            slack_col += 1
-
-    c = np.zeros(total)
-    c0 = sign * problem.objective.constant
-    for var, coef in problem.objective.terms().items():
-        c[plus_index[var]] += sign * coef
-        if var in minus_index:
-            c[minus_index[var]] -= sign * coef
-        c0 += sign * coef * shift.get(var, 0.0)
-
-    # Normalize to b >= 0 for phase-1 simplex.
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    return StandardForm(
-        a=a,
-        b=b,
-        c=c,
-        c0=c0,
-        variables=variables,
-        plus_index=plus_index,
-        minus_index=minus_index,
-        shift=shift,
         objective_sign=sign,
     )

@@ -71,8 +71,8 @@ class SolveStats:
     * **branch and bound** — nodes explored/pruned, cut rounds and cuts
       added, the proven ``best_bound``, the ``incumbent`` objective, the
       final relative ``mip_gap`` and the gap trajectory over the search;
-    * **presolve** — variables fixed, constraints dropped, bounds
-      tightened and fixpoint rounds.
+    * **presolve** — array-presolve rows dropped, bounds tightened and
+      fixpoint rounds.
     """
 
     backend: str = ""
@@ -131,7 +131,6 @@ class SolveStats:
     gap_trajectory: list[GapPoint] = field(default_factory=list)
 
     # -- presolve ----------------------------------------------------------
-    presolve_fixed_variables: int = 0
     presolve_dropped_constraints: int = 0
     presolve_tightened_bounds: int = 0
     presolve_rounds: int = 0
@@ -147,13 +146,11 @@ class SolveStats:
 
     def merge_presolve(
         self,
-        fixed_variables: int = 0,
         dropped_constraints: int = 0,
         tightened_bounds: int = 0,
         rounds: int = 0,
     ) -> "SolveStats":
         """Fold presolve reductions into this record (returns ``self``)."""
-        self.presolve_fixed_variables += fixed_variables
         self.presolve_dropped_constraints += dropped_constraints
         self.presolve_tightened_bounds += tightened_bounds
         self.presolve_rounds += rounds
@@ -191,7 +188,6 @@ class SolveStats:
             "incumbent": _json_safe(self.incumbent),
             "mip_gap": _json_safe(self.mip_gap),
             "gap_trajectory": [p.as_dict() for p in self.gap_trajectory],
-            "presolve_fixed_variables": self.presolve_fixed_variables,
             "presolve_dropped_constraints": self.presolve_dropped_constraints,
             "presolve_tightened_bounds": self.presolve_tightened_bounds,
             "presolve_rounds": self.presolve_rounds,
@@ -240,7 +236,6 @@ class SolveStats:
             gap_trajectory=[
                 GapPoint.from_dict(p) for p in data.get("gap_trajectory", [])
             ],
-            presolve_fixed_variables=data.get("presolve_fixed_variables", 0),
             presolve_dropped_constraints=data.get("presolve_dropped_constraints", 0),
             presolve_tightened_bounds=data.get("presolve_tightened_bounds", 0),
             presolve_rounds=data.get("presolve_rounds", 0),

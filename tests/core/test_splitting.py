@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ApplicationGroup, AsIsState, plan_consolidation
+import repro
+from repro import PlannerOptions
+from repro.core import ApplicationGroup, AsIsState
 from repro.core.splitting import (
     SplitResult,
     merge_placement,
@@ -107,12 +109,16 @@ class TestSplitOversized:
 class TestEndToEnd:
     def test_split_state_is_plannable(self, oversized_state):
         result = split_oversized_groups(oversized_state)
-        plan = plan_consolidation(result.state, backend="highs")
+        plan = repro.solve(
+            result.state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert set(plan.placement) == {g.name for g in result.state.app_groups}
 
     def test_merge_placement(self, oversized_state):
         result = split_oversized_groups(oversized_state)
-        plan = plan_consolidation(result.state, backend="highs")
+        plan = repro.solve(
+            result.state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         merged = merge_placement(result, plan.placement)
         assert set(merged) == {"whale", "minnow"}
         assert 1 <= len(merged["whale"]) <= 2
@@ -123,7 +129,9 @@ class TestEndToEnd:
         groups = [ApplicationGroup("whale", 250, 1000.0, {"east": 10.0})]
         state = AsIsState("s", groups, targets, user_locations=user_locations)
         result = split_oversized_groups(state, risk_isolate_fragments=True)
-        plan = plan_consolidation(result.state, backend="highs")
+        plan = repro.solve(
+            result.state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         sites = [plan.placement[f] for f in result.fragments_of("whale")]
         assert len(set(sites)) == len(sites)  # pairwise distinct
 

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import repro
+from repro import PlannerOptions
 from repro.core import (
     ApplicationGroup,
     StepCostFunction,
@@ -91,13 +93,15 @@ class TestStateRoundTrip:
         )
 
     def test_plans_identical_after_roundtrip(self, tiny_state, tmp_path):
-        from repro.core import plan_consolidation
-
         path = tmp_path / "state.json"
         save_state(tiny_state, str(path))
         back = load_state(str(path))
-        a = plan_consolidation(tiny_state, backend="highs")
-        b = plan_consolidation(back, backend="highs")
+        a = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
+        b = repro.solve(
+            back, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert a.total_cost == pytest.approx(b.total_cost)
 
     def test_schema_version_checked(self, tiny_state):
@@ -134,7 +138,6 @@ class TestCaseStudyPlanRoundTrips:
 
     @pytest.mark.parametrize("name", ["enterprise1", "federal", "florida"])
     def test_round_trip_preserves_the_plan(self, name, tmp_path):
-        from repro import plan_consolidation
         from repro.datasets import load_enterprise1, load_federal, load_florida
         from repro.io import load_plan, save_plan
 
@@ -144,7 +147,9 @@ class TestCaseStudyPlanRoundTrips:
             "florida": load_florida,
         }[name]
         state = loader(scale=0.25)
-        plan = plan_consolidation(state, backend="highs")
+        plan = repro.solve(
+            state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
 
         path = tmp_path / f"{name}.json"
         save_plan(plan, str(path))
@@ -165,7 +170,6 @@ class TestCaseStudyPlanRoundTrips:
 
     @pytest.mark.parametrize("name", ["enterprise1", "federal", "florida"])
     def test_solve_stats_round_trip(self, name):
-        from repro import plan_consolidation
         from repro.datasets import load_enterprise1, load_federal, load_florida
         from repro.telemetry import SolveStats
 
@@ -174,7 +178,9 @@ class TestCaseStudyPlanRoundTrips:
             "federal": load_federal,
             "florida": load_florida,
         }[name]
-        plan = plan_consolidation(loader(scale=0.25), backend="highs")
+        plan = repro.solve(
+            loader(scale=0.25), method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         stats = plan.solver_stats
         assert stats is not None
         restored = SolveStats.from_dict(

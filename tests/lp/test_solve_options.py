@@ -1,4 +1,4 @@
-"""Typed SolveOptions, the legacy-kwargs shim, and the SolveCache."""
+"""Typed SolveOptions and the SolveCache."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.lp import (
     solve,
     structure_fingerprint,
 )
-from repro.lp.options import BACKEND_OPTION_FIELDS, options_from_kwargs
+from repro.lp.options import BACKEND_OPTION_FIELDS
 
 
 class TestSolveOptionsValidation:
@@ -42,8 +42,9 @@ class TestSolveOptionsValidation:
             SolveOptions(time_limit=0.0)
         with pytest.raises(ValueError):
             SolveOptions(node_limit=0)
-        with pytest.raises(ValueError):
-            SolveOptions(relaxation_engine="cplex")
+        for engine in ("cplex", "revised"):
+            with pytest.raises(ValueError, match="unknown relaxation engine"):
+                SolveOptions(relaxation_engine=engine)
         with pytest.raises(ValueError):
             SolveOptions(cover_cut_rounds=-1)
 
@@ -55,32 +56,6 @@ class TestSolveOptionsValidation:
     def test_non_default_fields_only_reports_changes(self):
         assert SolveOptions().non_default_fields() == {}
         assert SolveOptions(node_limit=7).non_default_fields() == {"node_limit": 7}
-
-
-class TestLegacyKwargsShim:
-    def test_kwargs_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="SolveOptions"):
-            opts = options_from_kwargs("branch_bound", {"node_limit": 9})
-        assert opts.node_limit == 9
-
-    def test_unknown_kwarg_is_type_error(self):
-        with pytest.raises(TypeError, match="unknown solver option"):
-            options_from_kwargs("highs", {"tim_limit": 1.0})
-
-    def test_solve_accepts_legacy_kwargs(self):
-        p = Problem("shim")
-        x = p.add_binary("x")
-        p.set_objective(-x)
-        with pytest.warns(DeprecationWarning):
-            sol = solve(p, backend="branch_bound", node_limit=50)
-        assert sol.objective == pytest.approx(-1.0)
-
-    def test_options_and_kwargs_together_rejected(self):
-        p = Problem("both")
-        x = p.add_binary("x")
-        p.set_objective(-x)
-        with pytest.raises(TypeError, match="not both"):
-            solve(p, backend="branch_bound", options=SolveOptions(), node_limit=5)
 
 
 def knapsack(n: int = 6) -> Problem:

@@ -7,6 +7,7 @@ import pytest
 from repro.lp import (
     Problem,
     Solution,
+    SolveOptions,
     SolveStatus,
     available_backends,
     quicksum,
@@ -122,7 +123,7 @@ class TestSolutionType:
 
 
 class TestOptionForwarding:
-    """solve(...) must pass extra keyword options through to backends."""
+    """solve(...) must pass options through to backends."""
 
     def test_custom_backend_receives_options(self):
         seen = {}
@@ -140,6 +141,9 @@ class TestOptionForwarding:
             time_limit=1.5,
         )
         assert seen == {"node_limit": 7, "cover_cut_rounds": 2, "time_limit": 1.5}
+        # Keyword options are for registered backends only.
+        with pytest.raises(TypeError, match=r"options=SolveOptions\(\.\.\.\)"):
+            solve(Problem(), backend="highs", time_limit=1)
 
     def test_node_limit_reaches_branch_bound(self):
         # With a node limit of 1 the 8-item knapsack cannot finish; the
@@ -150,7 +154,7 @@ class TestOptionForwarding:
             quicksum((i + 1) * x for i, x in enumerate(xs)) <= 12
         )
         p.set_objective(-quicksum((8 - i) * x for i, x in enumerate(xs)))
-        sol = solve(p, backend="branch_bound", node_limit=1)
+        sol = solve(p, backend="branch_bound", options=SolveOptions(node_limit=1))
         assert "node limit reached" in sol.message
 
     def test_cover_cut_rounds_reach_branch_bound(self):
@@ -158,7 +162,9 @@ class TestOptionForwarding:
         xs = [p.add_binary(f"x{i}") for i in range(4)]
         p.add_constraint(quicksum([5 * xs[0], 4 * xs[1], 3 * xs[2], 2 * xs[3]]) <= 10)
         p.set_objective(-quicksum([10 * xs[0], 40 * xs[1], 30 * xs[2], 50 * xs[3]]))
-        sol = solve(p, backend="branch_bound", cover_cut_rounds=3)
+        sol = solve(
+            p, backend="branch_bound", options=SolveOptions(cover_cut_rounds=3)
+        )
         assert sol.status is SolveStatus.OPTIMAL
         # Stats must witness that the cut loop actually ran (or found
         # nothing to cut, in which case rounds stay 0 but solving is
@@ -168,7 +174,11 @@ class TestOptionForwarding:
 
     def test_relaxation_engine_forwarded(self):
         p = assignment_problem()
-        sol = solve(p, backend="branch_bound", relaxation_engine="builtin")
+        sol = solve(
+            p,
+            backend="branch_bound",
+            options=SolveOptions(relaxation_engine="builtin"),
+        )
         assert sol.solver == "branch_bound[builtin]"
         assert sol.status is SolveStatus.OPTIMAL
 
@@ -219,7 +229,11 @@ class TestSolveStatsAttached:
         p = assignment_problem()
         # The builtin relaxation engine counts its own pivots; HiGHS may
         # solve tiny node LPs entirely in presolve and report 0.
-        sol = solve(p, backend="branch_bound", relaxation_engine="builtin")
+        sol = solve(
+            p,
+            backend="branch_bound",
+            options=SolveOptions(relaxation_engine="builtin"),
+        )
         stats = sol.stats
         assert stats is not None
         assert stats.nodes_explored > 0

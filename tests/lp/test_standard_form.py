@@ -1,4 +1,4 @@
-"""Tests for Problem → matrix/standard-form conversions."""
+"""Tests for the Problem → matrix-form conversion."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.lp import ObjectiveSense, Problem
-from repro.lp.standard_form import to_matrix_form, to_standard_form
+from repro.lp.standard_form import to_matrix_form
 
 
 def small_problem():
@@ -60,82 +60,28 @@ class TestMatrixForm:
         assert form.a_eq.shape == (0, 1)
 
 
-class TestStandardForm:
-    def test_b_nonnegative(self):
-        p, *_ = small_problem()
-        sf = to_standard_form(p)
-        assert (sf.b >= 0).all()
-
-    def test_recover_roundtrip(self):
-        p, x, y, z = small_problem()
-        sf = to_standard_form(p)
-        # Construct a standard-form point representing x=2, y=-1, z=1.
-        n = sf.a.shape[1]
-        point = np.zeros(n)
-        point[sf.plus_index[x]] = 2.0 - 1.0  # shifted by lb=1
-        point[sf.plus_index[y]] = 0.0
-        point[sf.minus_index[y]] = 1.0  # y = 0 - 1 = -1
-        point[sf.plus_index[z]] = 1.0
-        values = sf.recover(point)
-        assert values[x] == pytest.approx(2.0)
-        assert values[y] == pytest.approx(-1.0)
-        assert values[z] == pytest.approx(1.0)
-
-    def test_free_variable_split(self):
-        p, x, y, z = small_problem()
-        sf = to_standard_form(p)
-        assert y in sf.minus_index
-        assert x not in sf.minus_index
-
-    def test_shift_recorded_for_bounded(self):
-        p, x, y, z = small_problem()
-        sf = to_standard_form(p)
-        assert sf.shift[x] == 1.0
-
-    def test_upper_bounds_become_rows(self):
-        p = Problem()
-        x = p.add_variable("x", lb=0.0, ub=3.0)
-        p.set_objective(-x)
-        sf = to_standard_form(p)
-        # one row: x + slack = 3
-        assert sf.a.shape[0] == 1
-        assert sf.b[0] == pytest.approx(3.0)
-
-    def test_objective_constant_includes_shift(self):
-        p = Problem()
-        x = p.add_variable("x", lb=2.0)
-        p.set_objective(3 * x + 1)
-        sf = to_standard_form(p)
-        # c0 = 1 + 3*2
-        assert sf.c0 == pytest.approx(7.0)
-
-
 class TestFreeVariableUpperBound:
-    """Regression: a free variable's ub row must keep the minus column.
+    """Regression: a free variable's upper bound must keep its minus column.
 
-    Pre-fix, ``to_standard_form`` emitted ``x_plus <= ub`` instead of
-    ``x_plus - x_minus <= ub``; with a negative upper bound that row is
-    unsatisfiable (``x_plus >= 0``) and a feasible problem was reported
-    infeasible.
+    A standardization that emits ``x_plus <= ub`` instead of
+    ``x_plus - x_minus <= ub`` makes a negative upper bound unsatisfiable
+    (``x_plus >= 0``) and reports a feasible problem infeasible.  Both
+    builtin engines standardize the matrix form themselves; the raw
+    arrays are solved without presolve so the bound reaches them intact.
     """
 
     def _solve(self, problem):
-        from repro.lp.simplex import solve_standard_form
+        from repro.lp.matrix_lp import solve_lp_arrays
 
-        sf = to_standard_form(problem)
-        res = solve_standard_form(sf.a, sf.b, sf.c)
-        return sf, res
-
-    def test_ub_row_carries_minus_column(self):
-        p = Problem()
-        x = p.add_variable("x", lb=None, ub=-2.0)
-        p.set_objective(-x)
-        sf = to_standard_form(p)
-        row = sf.a[0]
-        assert row[sf.plus_index[x]] == pytest.approx(1.0) or row[
-            sf.plus_index[x]
-        ] == pytest.approx(-1.0)  # may be sign-flipped for b >= 0
-        assert row[sf.minus_index[x]] == pytest.approx(-row[sf.plus_index[x]])
+        form = to_matrix_form(problem)
+        results = [
+            solve_lp_arrays(
+                form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
+                form.lb, form.ub, engine=engine, presolve=False,
+            )
+            for engine in ("builtin", "tableau")
+        ]
+        return form, results
 
     def test_negative_optimum_of_free_upper_bounded_variable(self):
         # max x  s.t.  x free, x <= -2  →  optimum x = -2 (negative).
@@ -143,10 +89,10 @@ class TestFreeVariableUpperBound:
         x = p.add_variable("x", lb=None, ub=-2.0)
         p.add_constraint(x >= -10)  # keep the LP bounded below
         p.set_objective(-x)
-        sf, res = self._solve(p)
-        assert res.status == "optimal"
-        values = sf.recover(res.x)
-        assert values[x] == pytest.approx(-2.0)
+        _, results = self._solve(p)
+        for res in results:
+            assert res.status == "optimal"
+            assert res.x[0] == pytest.approx(-2.0)
 
     def test_interacting_constraint_with_negative_ub(self):
         # min x + y with x free, x <= -1, y >= 0, x + y >= -3.
@@ -155,6 +101,7 @@ class TestFreeVariableUpperBound:
         y = p.add_variable("y", lb=0.0)
         p.add_constraint(x + y >= -3)
         p.set_objective(x + y)
-        sf, res = self._solve(p)
-        assert res.status == "optimal"
-        assert res.objective + sf.c0 == pytest.approx(-3.0)
+        form, results = self._solve(p)
+        for res in results:
+            assert res.status == "optimal"
+            assert res.objective + form.c0 == pytest.approx(-3.0)

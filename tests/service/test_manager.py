@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro import plan_consolidation
+import repro
+from repro import PlannerOptions
 from repro.service import (
     JobState,
     PayloadError,
@@ -56,7 +57,9 @@ class TestPlanJobs:
         assert done.state is JobState.SUCCEEDED
         assert done.via == "solve"
         assert done.attempts == 1
-        local = plan_consolidation(tiny_state, backend="highs")
+        local = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert done.result["summary"]["total_cost"] == pytest.approx(
             local.breakdown.total, rel=1e-6
         )
@@ -351,10 +354,9 @@ class TestSubmitValidation:
             manager.submit("plan", {"options": {}})
 
     def test_unknown_option_rejected_at_submit_time(self, manager, state_doc):
-        with pytest.raises(PayloadError, match="options"):
-            manager.submit(
-                "plan", {"state": state_doc, "options": {"lp_export_path": "/x"}}
-            )
+        for options in ({"lp_export_path": "/x"}, {"presolve": True}):
+            with pytest.raises(PayloadError, match="unknown planner option"):
+                manager.submit("plan", {"state": state_doc, "options": options})
 
     def test_bad_directive_rejected_at_submit_time(self, manager, state_doc):
         with pytest.raises(PayloadError, match="directive"):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import evaluate_plan, plan_consolidation
+import repro
+from repro import PlannerOptions
+from repro.core import evaluate_plan
 from repro.sim import (
     FailureModelConfig,
     Outage,
@@ -120,8 +122,14 @@ class TestValidationAndComparison:
             SimulatorConfig(failover_hours=-1)
 
     def test_dr_plan_beats_bare_plan(self, tiny_state):
-        dr = plan_consolidation(tiny_state, enable_dr=True, backend="highs")
-        bare = plan_consolidation(tiny_state, backend="highs")
+        dr = repro.solve(
+            tiny_state,
+            method="milp",
+            options=PlannerOptions(enable_dr=True, backend="highs"),
+        ).plan
+        bare = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         config = SimulatorConfig(
             horizon_months=240.0,
             failure=FailureModelConfig(mtbf_hours=4000.0, mttr_hours=96.0, seed=11),
@@ -258,8 +266,14 @@ class TestCompareResilienceDeterminism:
         # The same seed must give a plan the same disasters whether it
         # is compared alongside other plans or alone: per-site outage
         # streams cannot depend on which other sites were sampled.
-        dr = plan_consolidation(tiny_state, enable_dr=True, backend="highs")
-        bare = plan_consolidation(tiny_state, backend="highs")
+        dr = repro.solve(
+            tiny_state,
+            method="milp",
+            options=PlannerOptions(enable_dr=True, backend="highs"),
+        ).plan
+        bare = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         config = SimulatorConfig(
             horizon_months=240.0,
             failure=FailureModelConfig(mtbf_hours=3000.0, mttr_hours=96.0, seed=7),
@@ -271,7 +285,11 @@ class TestCompareResilienceDeterminism:
         )
 
     def test_repeatable_across_calls(self, tiny_state):
-        dr = plan_consolidation(tiny_state, enable_dr=True, backend="highs")
+        dr = repro.solve(
+            tiny_state,
+            method="milp",
+            options=PlannerOptions(enable_dr=True, backend="highs"),
+        ).plan
         config = SimulatorConfig(
             horizon_months=240.0,
             failure=FailureModelConfig(mtbf_hours=3000.0, mttr_hours=96.0, seed=7),

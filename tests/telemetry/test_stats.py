@@ -32,10 +32,8 @@ class TestRelativeGap:
 class TestMergePresolve:
     def test_accumulates(self):
         s = SolveStats()
-        s.merge_presolve(fixed_variables=2, dropped_constraints=3,
-                         tightened_bounds=1, rounds=4)
-        s.merge_presolve(fixed_variables=1)
-        assert s.presolve_fixed_variables == 3
+        s.merge_presolve(dropped_constraints=2, tightened_bounds=1, rounds=4)
+        s.merge_presolve(dropped_constraints=1)
         assert s.presolve_dropped_constraints == 3
         assert s.presolve_tightened_bounds == 1
         assert s.presolve_rounds == 4

@@ -1,4 +1,4 @@
-"""The unified ``repro.solve`` front door, its auto rule and the shims."""
+"""The unified ``repro.solve`` front door and its auto rule."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.api import AUTO_DECOMPOSITION_PAIRS, METHODS, PlanResult, resolve_method
-from repro.core.planner import ETransformPlanner, PlannerOptions
+from repro.core.planner import PlannerOptions
 
 
 class TestMethodDispatch:
@@ -46,6 +46,13 @@ class TestMethodDispatch:
     def test_stray_kwargs_are_rejected(self, tiny_state):
         with pytest.raises(TypeError, match="options=PlannerOptions"):
             repro.solve(tiny_state, backend="highs")
+
+    def test_unified_paths_do_not_warn(self, tiny_state):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            repro.solve(tiny_state, method="milp")
+            repro.solve(tiny_state, method="decomposition")
+            repro.solve(tiny_state, method="greedy")
 
 
 class TestAutoRule:
@@ -108,56 +115,6 @@ class TestWireRoundTrip:
             wire["jobs"] = bad
             with pytest.raises(ValueError, match="jobs must be between"):
                 PlannerOptions.from_wire(wire)
-
-
-class TestDeprecationShims:
-    def test_plan_consolidation_warns_and_matches(self, tiny_state):
-        fresh = repro.solve(tiny_state, method="milp")
-        with pytest.warns(DeprecationWarning, match="repro.solve"):
-            legacy = repro.plan_consolidation(tiny_state)
-        assert legacy.placement == fresh.plan.placement
-        assert legacy.breakdown.total == pytest.approx(fresh.objective)
-
-    def test_planner_plan_warns_and_matches(self, tiny_state):
-        planner = ETransformPlanner(tiny_state, PlannerOptions())
-        fresh = planner.build_plan()
-        with pytest.warns(DeprecationWarning, match="build_plan"):
-            legacy = ETransformPlanner(tiny_state, PlannerOptions()).plan()
-        assert legacy.placement == fresh.placement
-
-    def test_greedy_plan_warns_and_matches(self, tiny_state):
-        fresh = repro.solve(tiny_state, method="greedy")
-        with pytest.warns(DeprecationWarning, match="method='greedy'"):
-            legacy = repro.greedy_plan(tiny_state)
-        assert legacy.placement == fresh.plan.placement
-
-    def test_lp_problem_first_argument_forwards_to_lp_solve(self):
-        from repro.lp import Problem
-
-        prob = Problem("toy")
-        x = prob.add_binary("x")
-        y = prob.add_binary("y")
-        prob.add_constraint(x + y <= 1)
-        prob.set_objective(-(2 * x + 3 * y))
-        with pytest.warns(DeprecationWarning, match="repro.lp.solve"):
-            solution = repro.solve(prob, backend="branch_bound")
-        assert solution.as_name_dict()["y"] == pytest.approx(1.0)
-
-    def test_parallel_map_alias_warns(self):
-        import repro.experiments.harness as harness
-
-        with pytest.warns(DeprecationWarning, match="repro.parallel"):
-            alias = harness.parallel_map
-        from repro.parallel import parallel_map
-
-        assert alias is parallel_map
-
-    def test_unified_paths_do_not_warn(self, tiny_state):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro.solve(tiny_state, method="milp")
-            repro.solve(tiny_state, method="decomposition")
-            repro.solve(tiny_state, method="greedy")
 
 
 class TestParallelMap:

@@ -42,14 +42,12 @@ PUBLIC_API = {
     "asis_plan",
     "asis_with_dr_plan",
     "evaluate_plan",
-    "greedy_plan",
     "improve_plan",
     "latency_line_scenario",
     "load_enterprise1",
     "load_federal",
     "load_florida",
     "manual_plan",
-    "plan_consolidation",
     "plan_migration",
     "run_replay",
     "run_robustness",
@@ -58,6 +56,43 @@ PUBLIC_API = {
     "solve",
     "split_oversized_groups",
     "tradeoff_line_scenario",
+}
+
+LP_PUBLIC_API = {
+    "CSCMatrix",
+    "Constraint",
+    "ConstraintBlocks",
+    "LPParseError",
+    "LinExpr",
+    "MasterSolution",
+    "ObjectiveSense",
+    "Problem",
+    "RestrictedMasterLP",
+    "RevisedResult",
+    "Sense",
+    "Solution",
+    "SolveCache",
+    "SolveOptions",
+    "SolveStats",
+    "SolveStatus",
+    "SparseBoundedLP",
+    "VarType",
+    "Variable",
+    "available_backends",
+    "constraint_blocks",
+    "parse_lp_string",
+    "payload_fingerprint",
+    "problem_fingerprint",
+    "quicksum",
+    "read_lp_file",
+    "register_backend",
+    "solve",
+    "solve_bounded_lp",
+    "structure_fingerprint",
+    "write_lp_file",
+    "write_lp_string",
+    "write_mps_file",
+    "write_mps_string",
 }
 
 SOLVE_OPTION_FIELDS = {
@@ -78,6 +113,9 @@ class TestPublicSurface:
     def test_repro_all_matches_snapshot(self):
         assert set(repro.__all__) == PUBLIC_API
 
+    def test_repro_lp_all_matches_snapshot(self):
+        assert set(repro.lp.__all__) == LP_PUBLIC_API
+
     def test_everything_in_all_is_importable(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists missing {name!r}"
@@ -94,11 +132,9 @@ class TestPublicSurface:
     def test_facade_names_resolve_to_canonical_objects(self):
         from repro.api import solve as deep_solve
         from repro.core.iterative import IterativeSession as deep_session
-        from repro.core.planner import plan_consolidation as deep_plan
         from repro.lp.solvers import solve as lp_solve
 
         assert repro.IterativeSession is deep_session
-        assert repro.plan_consolidation is deep_plan
         # repro.solve is now the unified *planning* entry point; the
         # LP-level solve stays reachable at repro.lp.solve.
         assert repro.solve is deep_solve
