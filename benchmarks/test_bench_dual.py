@@ -1,18 +1,20 @@
 """Dual-simplex node throughput: warm dual re-solves vs primal restarts.
 
 Replays the same seeded stream of branch-and-bound-style bound
-tightenings as the revised benchmark on an enterprise1-scale
-consolidation LP, solving every node through two cached
-:class:`RelaxationContext` instances with parent warm tokens — both on
-the sparse revised core, differing only in the node re-solve path:
+tightenings as the node-cache benchmark on an enterprise1-scale
+consolidation LP, solving every node twice with parent warm tokens —
+both on the sparse revised core, differing only in the node re-solve
+path:
 
-* baseline: ``node_resolve="primal"``, ``presolve=False`` — the PR-5
-  configuration, full phase-1/phase-2 restart per node;
-* candidate: ``node_resolve="dual"``, ``presolve=True`` — the dual
-  simplex entered from the parent token (+ the array presolve and the
-  factorization pool), the PR-6 default.
+* baseline: the primal core alone on the raw arrays
+  (:func:`~repro.lp.revised_simplex.solve_bounded_lp` on one
+  :class:`~repro.lp.revised_simplex.SparseBoundedLP`), a full
+  phase-1/phase-2 restart per node with no presolve;
+* candidate: a :class:`RelaxationContext` — the dual simplex entered
+  from the parent token (+ the array presolve and the factorization
+  pool).
 
-Both contexts run presolve *without* integrality information:
+The context runs presolve *without* integrality information:
 integer-aware bound snapping legitimately strengthens node relaxations
 (a snapped binary bound can move the LP value while preserving every
 integral point), which would break the node-for-node objective
@@ -42,6 +44,7 @@ import pytest
 from repro.core import ConsolidationModel, ModelOptions
 from repro.datasets import load_enterprise1
 from repro.lp.matrix_lp import RelaxationContext
+from repro.lp.revised_simplex import SparseBoundedLP, solve_bounded_lp
 from repro.lp.standard_form import to_matrix_form
 
 SMOKE = os.environ.get("DUAL_SMOKE", "") not in ("", "0")
@@ -74,11 +77,26 @@ def form():
     return to_matrix_form(problem)
 
 
-def _run(form, nodes, node_resolve: str, presolve: bool):
+def _run_primal(form, nodes):
+    """Baseline: primal restarts on the raw (presolve-free) arrays."""
+    family = SparseBoundedLP(form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq)
+    tokens: list = [None] * len(nodes)
+    results = []
+    t0 = time.perf_counter()
+    for i, (lb, ub, parent) in enumerate(nodes):
+        warm = tokens[parent] if parent is not None else None
+        res = solve_bounded_lp(family, lb, ub, warm=warm)
+        if res.basis is not None:
+            tokens[i] = (res.basis, res.vstat)
+        results.append(res)
+    return results, time.perf_counter() - t0
+
+
+def _run_dual(form, nodes):
+    """Candidate: one context, warm nodes re-entering the dual simplex."""
     ctx = RelaxationContext(
         form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
         form.lb, form.ub, engine="builtin",
-        node_resolve=node_resolve, presolve=presolve,
     )
     tokens: list = [None] * len(nodes)
     results = []
@@ -88,16 +106,15 @@ def _run(form, nodes, node_resolve: str, presolve: bool):
         res = ctx.solve(lb, ub, warm=warm)
         tokens[i] = res.warm_token
         results.append(res)
-    elapsed = time.perf_counter() - t0
-    return ctx, results, elapsed
+    return ctx, results, time.perf_counter() - t0
 
 
 def test_bench_dual_node_throughput(form, archive, archive_json):
     n_nodes = 12 if SMOKE else 48
     nodes = _node_stream(form, n_nodes)
 
-    primal_ctx, primal, primal_s = _run(form, nodes, "primal", presolve=False)
-    dual_ctx, dual, dual_s = _run(form, nodes, "dual", presolve=True)
+    primal, primal_s = _run_primal(form, nodes)
+    dual_ctx, dual, dual_s = _run_dual(form, nodes)
 
     # Identical answers node for node.
     for ref, res in zip(primal, dual):
@@ -114,9 +131,9 @@ def test_bench_dual_node_throughput(form, archive, archive_json):
         "Dual-simplex node re-solve benchmark (enterprise1-scale LP)",
         f"  nodes solved                 {len(nodes)}",
         f"  matrix shape                 {form.a_ub.shape[0]}+{form.a_eq.shape[0]} rows x {form.c.shape[0]} vars",
-        f"  primal restarts (PR-5 path)  {primal_s:.3f} s  "
+        f"  primal restarts (raw arrays) {primal_s:.3f} s  "
         f"({len(nodes) / primal_s:.1f} nodes/s)",
-        f"  dual re-solves  (PR-6 path)  {dual_s:.3f} s  "
+        f"  dual re-solves  (context)    {dual_s:.3f} s  "
         f"({len(nodes) / dual_s:.1f} nodes/s)",
         f"  throughput ratio             {ratio:.2f}x",
         f"  dual entries / fallbacks     {dual_ctx.dual_entries} / {dual_ctx.dual_fallbacks}",

@@ -2,11 +2,13 @@
 
 Replays a seeded stream of branch-and-bound-style bound tightenings on
 an enterprise1-scale consolidation LP and solves every node twice: once
-through the pre-PR path (full Python-loop standardization per node,
-``solve_lp_arrays_reference``) and once through the shared
+through the dense reference path (full Python-loop standardization and
+a cold tableau solve per node, ``solve_lp_arrays_reference`` from
+:mod:`tests.oracles`) and once through the shared
 :class:`RelaxationContext` with parent warm tokens.  Asserts identical
-statuses/objectives and, outside smoke mode, a >= 3x node-throughput
-ratio; archives both timings to ``bench_results/nodecache.txt``.
+statuses/objectives node for node — the revised/dual core against the
+dense oracle — and, outside smoke mode, a >= 3x node-throughput ratio;
+archives both timings to ``bench_results/nodecache.txt``.
 
 Smoke mode (``NODECACHE_SMOKE=1``, used by CI) runs a reduced node
 stream and skips the timing assertion — machine load must not fail CI.
@@ -22,8 +24,9 @@ import pytest
 
 from repro.core import ConsolidationModel, ModelOptions
 from repro.datasets import load_enterprise1
-from repro.lp.matrix_lp import RelaxationContext, solve_lp_arrays_reference
+from repro.lp.matrix_lp import RelaxationContext
 from repro.lp.standard_form import to_matrix_form
+from tests.oracles.reference import solve_lp_arrays_reference
 
 SMOKE = os.environ.get("NODECACHE_SMOKE", "") not in ("", "0")
 

@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..lp import SolveCache, SolveOptions, SolveStatus, solve, write_lp_file
+from ..lp import (
+    SolveCache,
+    SolveOptions,
+    SolveStatus,
+    available_backends,
+    solve,
+    write_lp_file,
+)
 from .formulation import ConsolidationModel, ModelOptions
 from .entities import AsIsState
 from .plan import TransformationPlan, evaluate_plan
@@ -89,7 +96,10 @@ class PlannerOptions:
         The planning service feeds request bodies through this; only the
         :data:`WIRE_FIELDS` subset is accepted — deliberately *not*
         ``lp_export_path`` (a remote caller must not name server-side
-        files) nor ``validate_inputs``.
+        files) nor ``validate_inputs``.  ``backend`` must name a
+        registered solver backend and ``solver_options`` must build a
+        valid :class:`~repro.lp.SolveOptions`, so a bad request fails
+        here rather than on the worker.
         """
         data = dict(data or {})
         unknown = sorted(set(data) - set(cls.WIRE_FIELDS))
@@ -101,6 +111,16 @@ class PlannerOptions:
         solver_options = data.pop("solver_options", {})
         if not isinstance(solver_options, dict):
             raise ValueError("solver_options must be an object")
+        try:
+            SolveOptions(**solver_options)
+        except TypeError as exc:
+            raise ValueError(f"invalid solver_options: {exc}") from None
+        backend = data.get("backend", "auto")
+        if backend not in available_backends():
+            raise ValueError(
+                f"unknown backend {backend!r} "
+                f"(available: {', '.join(available_backends())})"
+            )
         if "jobs" in data:
             jobs = data["jobs"]
             if isinstance(jobs, bool) or not isinstance(jobs, int):

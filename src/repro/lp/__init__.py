@@ -11,6 +11,12 @@ stack the paper builds on (Python modeling layer + CPLEX).  Typical use::
     prob.add_constraint(x + y <= 1)
     prob.set_objective(-(2 * x + 3 * y))
     solution = solve(prob, backend="branch_bound")
+
+Backends (:func:`available_backends`): ``highs``, ``branch_bound``,
+``rounding`` and ``auto``.  The from-scratch backends solve every LP
+relaxation through one path, :class:`~repro.lp.matrix_lp.RelaxationContext`:
+array presolve, then the sparse revised simplex (warm nodes re-enter
+through the dual simplex) or HiGHS, per ``SolveOptions.relaxation_engine``.
 """
 
 from ..telemetry import SolveStats

@@ -1,10 +1,9 @@
 """Array-level presolve over the CSC constraint blocks.
 
-The repository's one presolver.  It runs by default inside every
+The repository's one presolver.  It runs inside every
 :class:`~repro.lp.matrix_lp.RelaxationContext`, which the
-``branch_bound`` and ``rounding`` backends build;
-``SolveOptions(presolve=False)`` turns it off.  HiGHS presolves inside
-its own call.  It works directly on the
+``branch_bound`` and ``rounding`` backends build.  HiGHS presolves
+inside its own call.  It works directly on the
 ``(a_ub, b_ub, a_eq, b_eq, lb, ub)`` arrays that the context and
 :func:`~repro.lp.matrix_lp.solve_lp_arrays` already carry, using the
 :class:`~repro.lp.sparse.CSCMatrix` entry arrays so each round is a

@@ -255,8 +255,6 @@ def solve_branch_and_bound(
     gap_tolerance: float = 1e-6,
     cover_cut_rounds: int = 0,
     max_iterations: int = 20000,
-    node_resolve: str = "dual",
-    presolve: bool = True,
     warm_start=None,
     form: MatrixForm | None = None,
     context: RelaxationContext | None = None,
@@ -270,6 +268,13 @@ def solve_branch_and_bound(
         The model to solve (pure LPs are solved in one relaxation).
     relaxation_engine:
         ``"highs"`` (scipy) or ``"builtin"`` (our simplex) for node LPs.
+        Either way the root arrays are presolved once per tree
+        (singleton/redundant row removal, activity bound tightening,
+        integer snapping) and every node solves the reduced problem; the
+        builtin engine re-solves warm-started nodes with the dual
+        simplex — a parent basis is dual feasible for its children, so
+        most nodes cost a handful of pivots and infeasible ones stop at
+        the first Farkas row.
     node_limit, time_limit:
         Safety limits; when hit the best incumbent is returned with
         status ``FEASIBLE`` (or ``ERROR`` when none was found) and the
@@ -283,18 +288,6 @@ def solve_branch_and_bound(
         only the search tree shrinks.
     max_iterations:
         Simplex pivot budget per node relaxation (builtin engine).
-    node_resolve:
-        ``"dual"`` (default) re-solves warm-started nodes with the dual
-        simplex — a parent basis is dual feasible for its children, so
-        most nodes cost a handful of pivots and infeasible ones stop at
-        the first Farkas row.  ``"primal"`` restores the PR-5 behavior.
-        Builtin engine only; ignored elsewhere.
-    presolve:
-        Run the array-level presolve (singleton/redundant row removal,
-        activity bound tightening, integer snapping) once per tree on
-        the root arrays; every node then solves the reduced problem.
-        Applies to the builtin and HiGHS engines; the tableau engine
-        stays presolve-free as the cross-check oracle.
     warm_start:
         Optional variable-name → value hint (a MIP start).  When it is
         feasible for *this* model it becomes the initial incumbent, so
@@ -334,7 +327,6 @@ def solve_branch_and_bound(
             form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
             form.lb, form.ub, engine=relaxation_engine,
             max_iterations=max_iterations,
-            node_resolve=node_resolve, presolve=presolve,
             integrality=integral,
         )
     context_counters_start = (

@@ -1,26 +1,21 @@
 """Array-level LP solving used by the branch-and-bound search.
 
 Solves ``min c'x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub``
-with one of three engines:
+with one of two engines:
 
 * ``"builtin"`` (default) — the sparse bounded-variable revised simplex
-  (:mod:`repro.lp.revised_simplex`).  Bounds stay implicit, so a
-  branch-and-bound node solve is a pure bound-array update against the
-  family built once per context: zero per-node row construction.
-* ``"tableau"`` — the historical dense full-tableau simplex on a
-  standard form with explicit bound rows.  Kept for cross-checking and
-  as the revised core's benchmark baseline.
+  (:mod:`repro.lp.revised_simplex`), with warm node re-solves entering
+  the dual simplex (:mod:`repro.lp.dual_simplex`).  Bounds stay
+  implicit, so a branch-and-bound node solve is a pure bound-array
+  update against the family built once per context: zero per-node row
+  construction.
 * ``"highs"`` — SciPy's HiGHS wrapper.
 
 The hot path is :class:`RelaxationContext`: one context per B&B tree
-assembles its engine's base data **once**, each node solve only varies
-the bound arrays, and a parent node's optimal basis (plus, for the
-revised core, its nonbasic-status vector) warm-starts the child.
-
-:func:`solve_lp_arrays` remains the one-shot convenience wrapper (it
-builds a throwaway context), and :func:`solve_lp_arrays_reference`
-preserves the historical per-row Python-loop standardization as the
-benchmark/cross-check baseline.
+presolves and assembles its engine's base data **once**, each node solve
+only varies the bound arrays, and a parent node's optimal basis and
+nonbasic-status vector warm-start the child.  :func:`solve_lp_arrays`
+is the one-shot convenience wrapper (it builds a throwaway context).
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from .revised_simplex import (
     extend_warm_pair,
     solve_bounded_lp,
 )
-from .simplex import solve_standard_form
 
 #: Basis inverses remembered per context (keyed by the basis itself, so
 #: a hit is exact); bounds the pool's memory at ~48 m x m arrays.
@@ -142,24 +136,15 @@ class RelaxationContext:
 
     A branch-and-bound tree solves many relaxations that share ``c``,
     ``A_ub``/``b_ub`` and ``A_eq``/``b_eq`` and differ only in ``(lb,
-    ub)``.
-
-    With the default revised engine (``"builtin"``) the context builds
-    one :class:`~repro.lp.revised_simplex.SparseBoundedLP` family up
-    front; a node solve passes the node's bound arrays straight into the
-    core — bounds are implicit in the simplex, so there is no per-node
-    row or matrix construction of any kind, and any parent basis is
-    structurally transferable to any child.
-
-    With ``engine="tableau"`` the context keeps the PR-2 dense path: the
-    constraint blocks are expanded to plus/minus standard-form columns
-    once (vectorized), and each node's matrix — including
-    two-entries-per-row variable-bound rows — is assembled from the
-    cached blocks.  The plus/minus split follows the **root** bounds, so
-    a node that *loosens* a root-finite lower bound back to ``-inf``
-    triggers a full restandardization (counted in
-    ``structural_rebuilds``); B&B never does this, and the revised
-    engine handles it natively.
+    ub)``.  The context runs the array presolve once on the root arrays
+    (every node then solves the reduced problem), and with the default
+    engine (``"builtin"``) builds one
+    :class:`~repro.lp.revised_simplex.SparseBoundedLP` family up front;
+    a node solve passes the node's bound arrays straight into the core —
+    bounds are implicit in the simplex, so there is no per-node row or
+    matrix construction of any kind, and any parent basis is
+    structurally transferable to any child.  ``engine="highs"`` hands
+    each node's presolved arrays to HiGHS instead.
 
     Telemetry attributes (``conversion_seconds``, ``solve_seconds``,
     ``node_solves``, ``cache_hits``, ``warm_start_hits``,
@@ -180,16 +165,9 @@ class RelaxationContext:
         ub: np.ndarray,
         engine: str = "builtin",
         max_iterations: int = 20000,
-        node_resolve: str = "dual",
-        presolve: bool = True,
         integrality: np.ndarray | None = None,
     ) -> None:
-        self.engine = engine
-        # "builtin" runs the revised core; the dense tableau stays
-        # reachable as "tableau".  Unknown engines are only rejected at
-        # solve() time (constructing a context is cheap and side-effect
-        # free for them).
-        self._mode = "revised" if engine == "builtin" else engine
+        self.engine = engine  # "builtin" or "highs"; checked by solve()
         self.max_iterations = max_iterations
         self.c = np.asarray(c, dtype=float)
         self.a_ub = np.asarray(a_ub, dtype=float)
@@ -198,10 +176,6 @@ class RelaxationContext:
         self.b_eq = np.asarray(b_eq, dtype=float)
         self.root_lb = np.array(lb, dtype=float, copy=True)
         self.root_ub = np.array(ub, dtype=float, copy=True)
-        # Only the revised core has a dual path; the tableau stays
-        # presolve-free so it remains an untouched cross-check oracle.
-        self.node_resolve = node_resolve if self._mode == "revised" else "primal"
-        self.presolve_enabled = bool(presolve) and self._mode in ("revised", "highs")
         self._integrality = (
             None if integrality is None else np.asarray(integrality).astype(bool)
         )
@@ -240,18 +214,15 @@ class RelaxationContext:
         self._eff_a_ub, self._eff_b_ub = self.a_ub, self.b_ub
         self._eff_a_eq, self._eff_b_eq = self.a_eq, self.b_eq
         self._eff_lb, self._eff_ub = self.root_lb, self.root_ub
-        if self.presolve_enabled:
-            self._run_presolve()
+        self._run_presolve()
 
-        if self._mode == "revised":
+        if self.engine == "builtin":
             start = time.perf_counter()
             self._family = SparseBoundedLP(
                 self.c, self._eff_a_ub, self._eff_b_ub,
                 self._eff_a_eq, self._eff_b_eq,
             )
             self.conversion_seconds += time.perf_counter() - start
-        elif self._mode == "tableau":
-            self._build_base()
 
     # -- array presolve ----------------------------------------------------
 
@@ -318,7 +289,7 @@ class RelaxationContext:
             and np.array_equal(old_keep_ub, self._keep_ub)
             and np.array_equal(old_keep_eq, self._keep_eq)
         )
-        if same_rows or self._mode != "revised":
+        if same_rows or self.engine != "builtin":
             return
         self.structural_rebuilds += 1
         metrics.increment("relaxation.structural_rebuilds")
@@ -339,7 +310,7 @@ class RelaxationContext:
 
     # -- in-place structural extension (appended rows, objective swap) -----
 
-    def extend_rows(self, a_new: np.ndarray, b_new: np.ndarray) -> bool:
+    def extend_rows(self, a_new: np.ndarray, b_new: np.ndarray) -> None:
         """Append ``<=`` rows to the cached family in place.
 
         The warm-path escape from full context rebuilds: every
@@ -349,18 +320,14 @@ class RelaxationContext:
         shrinks the feasible set, so each root reduction derived without
         it still holds — and pooled basis inverses are re-keyed under
         their extended bases via the bordered identity (one ``k × m``
-        matmul each) instead of being discarded.  Returns ``False`` when
-        this context cannot extend (tableau mode), telling the caller to
-        rebuild from scratch.
+        matmul each) instead of being discarded.
         """
-        if self._mode not in ("revised", "highs"):
-            return False
         n = self.c.shape[0]
         a_new = np.asarray(a_new, dtype=float).reshape(-1, n)
         b_new = np.asarray(b_new, dtype=float).reshape(a_new.shape[0])
         k = a_new.shape[0]
         if k == 0:
-            return True
+            return
         start = time.perf_counter()
         was_alias = self._eff_a_ub is self.a_ub
         self.a_ub = np.vstack([self.a_ub, a_new])
@@ -374,7 +341,7 @@ class RelaxationContext:
             self._eff_b_ub = np.concatenate([self._eff_b_ub, b_new])
         self.row_extensions += 1
         metrics.increment("relaxation.row_extensions")
-        if self._mode == "revised":
+        if self.engine == "builtin":
             # The family appends below a_eq so every existing slack id
             # (and with it every outstanding warm token) stays stable.
             m_old = self._family.m
@@ -395,10 +362,8 @@ class RelaxationContext:
                     repooled[basis_ext.tobytes()] = binv_ext
             self._factor_pool = repooled
             self._dual_entry_after_extension = True
-        if self.presolve_enabled:
-            self._presolve_extension()
+        self._presolve_extension()
         self.conversion_seconds += time.perf_counter() - start
-        return True
 
     def _presolve_extension(self) -> None:
         """Re-derive bound tightenings now that rows were appended.
@@ -463,11 +428,8 @@ class RelaxationContext:
         revised family reads the shared ``c`` array at solve time, HiGHS
         receives it per call, and the array presolve applies no
         objective-driven reductions (``fix_empty_columns`` stays off).
-        The tableau's expanded cost columns *are* c-derived, so tableau
-        contexts refuse and the caller rebuilds.
+        Returns ``False`` (the caller rebuilds) on a shape mismatch.
         """
-        if self._mode not in ("revised", "highs"):
-            return False
         c_new = np.asarray(c_new, dtype=float)
         if c_new.shape != self.c.shape:
             return False
@@ -484,7 +446,7 @@ class RelaxationContext:
         current family.
         """
         if (
-            self._mode != "revised"
+            self.engine != "builtin"
             or token is None
             or len(token) != 3
             or token[0] != "revised"
@@ -494,97 +456,6 @@ class RelaxationContext:
         if pair is None:
             return None
         return ("revised", pair[0], pair[1])
-
-    # -- one-time, fully vectorized base standardization -------------------
-
-    def _build_base(self) -> None:
-        start = time.perf_counter()
-        n = self.c.shape[0]
-        free = np.isneginf(self.root_lb)
-        width = np.where(free, 2, 1)
-        ends = np.cumsum(width)
-        plus = ends - width
-        minus = np.full(n, -1, dtype=int)
-        minus[free] = plus[free] + 1
-        self._free = free
-        self._plus = plus
-        self._minus = minus
-        self._ncols = int(ends[-1]) if n else 0
-
-        self._e_ub = self._expand_block(self.a_ub)
-        self._e_eq = self._expand_block(self.a_eq)
-
-        cost = np.zeros(self._ncols)
-        cost[plus] = self.c
-        cost[minus[free]] = -self.c[free]
-        self._cost_struct = cost
-
-        self._root_shift = np.where(free, 0.0, self.root_lb)
-        self._b_ub_root = self.b_ub - self.a_ub @ self._root_shift
-        self._b_eq_root = self.b_eq - self.a_eq @ self._root_shift
-        self.conversion_seconds += time.perf_counter() - start
-
-    def _expand_block(self, block: np.ndarray) -> np.ndarray:
-        """Map an (m, n) block onto the plus/minus standard-form columns."""
-        out = np.zeros((block.shape[0], self._ncols))
-        if block.shape[0]:
-            out[:, self._plus] = block
-            free = self._free
-            if free.any():
-                out[:, self._minus[free]] = -block[:, free]
-        return out
-
-    # -- per-node assembly: O(changed bounds) rhs + sparse bound rows ------
-
-    def _assemble(
-        self, lb: np.ndarray, ub: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-        free = self._free
-        shift = np.where(free, 0.0, lb)
-        dshift = shift - self._root_shift
-        changed = np.nonzero(dshift)[0]
-        b_ub_adj = self._b_ub_root.copy()
-        b_eq_adj = self._b_eq_root.copy()
-        if changed.size:
-            b_ub_adj -= self.a_ub[:, changed] @ dshift[changed]
-            b_eq_adj -= self.a_eq[:, changed] @ dshift[changed]
-
-        ub_idx = np.nonzero(~np.isposinf(ub))[0]
-        low_idx = np.nonzero(free & ~np.isneginf(lb))[0]
-        m_ub, m_eq = self.a_ub.shape[0], self.a_eq.shape[0]
-        m_bnd, m_low = ub_idx.size, low_idx.size
-        n_le = m_ub + m_bnd + m_low
-        m_total = m_ub + m_eq + m_bnd + m_low
-        ncols = self._ncols
-        # Nodes share the column layout iff they bound the same variables;
-        # a matching key is what makes a parent basis transferable.
-        key = (ub_idx.tobytes(), low_idx.tobytes())
-
-        a = np.zeros((m_total, ncols + n_le))
-        a[:m_ub, :ncols] = self._e_ub
-        a[m_ub : m_ub + m_eq, :ncols] = self._e_eq
-        r0 = m_ub + m_eq
-        rows_u = r0 + np.arange(m_bnd)
-        a[rows_u, self._plus[ub_idx]] = 1.0
-        split = self._minus[ub_idx] >= 0
-        a[rows_u[split], self._minus[ub_idx[split]]] = -1.0
-        rows_l = r0 + m_bnd + np.arange(m_low)
-        # Lower bound on a root-free variable: x+ - x- >= lb, as a <= row.
-        a[rows_l, self._plus[low_idx]] = -1.0
-        a[rows_l, self._minus[low_idx]] = 1.0
-        le_rows = np.concatenate([np.arange(m_ub), np.arange(r0, m_total)])
-        a[le_rows, ncols + np.arange(n_le)] = 1.0
-
-        b = np.concatenate(
-            [b_ub_adj, b_eq_adj, ub[ub_idx] - shift[ub_idx], -lb[low_idx]]
-        )
-        neg = b < 0
-        a[neg] *= -1.0
-        b[neg] *= -1.0
-
-        cost = np.zeros(ncols + n_le)
-        cost[:ncols] = self._cost_struct
-        return a, b, cost, key
 
     # -- revised-core node solve: pure bound-array update ------------------
 
@@ -597,12 +468,12 @@ class RelaxationContext:
         so every parent basis is structurally transferable; the token is
         simply ``("revised", basis, vstat)``.
 
-        With ``node_resolve="dual"`` (the default) a warm-started node
-        re-solve goes through the dual simplex: the parent's basis is
-        dual feasible for the child by construction, so the walk is a
-        handful of pivots (often zero) and infeasible children stop at
-        the first Farkas row.  ``dual_lost``/``dual_infeasible`` exits
-        fall back to the primal engine on the same warm token.
+        A warm-started node re-solve goes through the dual simplex: the
+        parent's basis is dual feasible for the child by construction,
+        so the walk is a handful of pivots (often zero) and infeasible
+        children stop at the first Farkas row.  ``dual_lost``/
+        ``dual_infeasible`` exits fall back to the primal engine on the
+        same warm token, as does a cold (token-less) solve.
         """
         self.cache_hits += 1
         metrics.increment("relaxation.cache_hits")
@@ -612,7 +483,7 @@ class RelaxationContext:
         start = time.perf_counter()
         result = None
         dual_pivots = 0
-        if self.node_resolve == "dual" and warm_pair is not None:
+        if warm_pair is not None:
             self.dual_entries += 1
             metrics.increment("relaxation.dual_entries")
             if self._dual_entry_after_extension:
@@ -700,9 +571,10 @@ class RelaxationContext:
         """Solve one node relaxation for the given bound arrays.
 
         ``warm`` is the ``warm_token`` of a previous (typically parent)
-        solve on this context; it is ignored when the node's bound
-        pattern no longer matches the token's column layout.
+        solve on this context; the HiGHS engine ignores it.
         """
+        if self.engine not in ("builtin", "highs"):
+            raise ValueError(f"unknown LP engine: {self.engine!r}")
         lb = self.root_lb if lb is None else np.asarray(lb, dtype=float)
         ub = self.root_ub if ub is None else np.asarray(ub, dtype=float)
         if (lb > ub + 1e-12).any():
@@ -710,106 +582,36 @@ class RelaxationContext:
 
         self.node_solves += 1
         metrics.increment("relaxation.node_solves")
-        if self.presolve_enabled:
-            if (lb < self.root_lb - 1e-9).any() or (ub > self.root_ub + 1e-9).any():
-                self._reroot(lb, ub)
-            if self._presolve_infeasible:
+        if (lb < self.root_lb - 1e-9).any() or (ub > self.root_ub + 1e-9).any():
+            self._reroot(lb, ub)
+        if self._presolve_infeasible:
+            return ArrayLPResult(
+                "infeasible", None, np.nan, message=self._presolve_message
+            )
+        # Reductions hold for any node inside the root box, but the
+        # dropped singleton rows live on only as root-bound
+        # tightenings — intersecting is mandatory, not an
+        # optimization.
+        lb = np.maximum(lb, self._eff_lb)
+        ub = np.minimum(ub, self._eff_ub)
+        crossed = lb > ub
+        if crossed.any():
+            if (lb[crossed] - ub[crossed]).max() > 1e-7:
                 return ArrayLPResult(
-                    "infeasible", None, np.nan, message=self._presolve_message
+                    "infeasible", None, np.nan,
+                    message="node bounds cross presolved root bounds",
                 )
-            # Reductions hold for any node inside the root box, but the
-            # dropped singleton rows live on only as root-bound
-            # tightenings — intersecting is mandatory, not an
-            # optimization.
-            lb = np.maximum(lb, self._eff_lb)
-            ub = np.minimum(ub, self._eff_ub)
-            crossed = lb > ub
-            if crossed.any():
-                if (lb[crossed] - ub[crossed]).max() > 1e-7:
-                    return ArrayLPResult(
-                        "infeasible", None, np.nan,
-                        message="node bounds cross presolved root bounds",
-                    )
-                # Sub-tolerance crossings from implied-bound rounding:
-                # collapse instead of declaring infeasible.
-                lb = np.minimum(lb, ub)
-        if self._mode == "highs":
+            # Sub-tolerance crossings from implied-bound rounding:
+            # collapse instead of declaring infeasible.
+            lb = np.minimum(lb, ub)
+        if self.engine == "highs":
             result = _solve_highs_arrays(
                 self.c, self._eff_a_ub, self._eff_b_ub,
                 self._eff_a_eq, self._eff_b_eq, lb, ub,
             )
             self.solve_seconds += result.solve_seconds
             return result
-        if self._mode == "revised":
-            return self._solve_revised(lb, ub, warm)
-        if self._mode != "tableau":
-            raise ValueError(f"unknown LP engine: {self.engine!r}")
-
-        if (np.isneginf(lb) & ~self._free).any():
-            # A root-finite lower bound was loosened to -inf: the cached
-            # plus/minus split cannot represent this node.  Rebuild from
-            # scratch (never hit by branch-and-bound, which only tightens).
-            self.structural_rebuilds += 1
-            metrics.increment("relaxation.structural_rebuilds")
-            fresh = RelaxationContext(
-                self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq,
-                lb, ub, engine="tableau", max_iterations=self.max_iterations,
-            )
-            result = fresh.solve()
-            self.conversion_seconds += fresh.conversion_seconds
-            self.solve_seconds += fresh.solve_seconds
-            return result
-
-        self.cache_hits += 1
-        metrics.increment("relaxation.cache_hits")
-        start = time.perf_counter()
-        a, b, cost, key = self._assemble(lb, ub)
-        conversion = time.perf_counter() - start
-        self.conversion_seconds += conversion
-
-        warm_basis = None
-        if warm is not None and warm[0] == key:
-            warm_basis = warm[1]
-        start = time.perf_counter()
-        result = solve_standard_form(
-            a, b, cost, max_iterations=self.max_iterations, warm_basis=warm_basis
-        )
-        solve_elapsed = time.perf_counter() - start
-        self.solve_seconds += solve_elapsed
-        if warm is not None:
-            if result.warm_started:
-                self.warm_start_hits += 1
-                metrics.increment("relaxation.warm_start_hits")
-            else:
-                self.warm_start_misses += 1
-                metrics.increment("relaxation.warm_start_misses")
-
-        def _with_detail(status: str, x, objective: float, message: str = "") -> ArrayLPResult:
-            return ArrayLPResult(
-                status, x, objective, result.iterations,
-                phase1_iterations=result.phase1_iterations,
-                phase2_iterations=result.phase2_iterations,
-                bland_switches=result.bland_switches,
-                degenerate_pivots=result.degenerate_pivots,
-                message=message,
-                conversion_seconds=conversion,
-                solve_seconds=solve_elapsed,
-                warm_started=result.warm_started,
-                warm_token=(key, result.basis) if result.basis is not None else None,
-            )
-
-        if result.status == "iteration_limit":
-            return _with_detail("error", None, np.nan, message="iteration_limit")
-        if result.status != "optimal":
-            return _with_detail(result.status, None,
-                                -np.inf if result.status == "unbounded" else np.nan)
-        y = result.x
-        x = y[self._plus].copy()
-        free = self._free
-        if free.any():
-            x[free] -= y[self._minus[free]]
-        x += np.where(free, 0.0, lb)
-        return _with_detail("optimal", x, float(self.c @ x))
+        return self._solve_revised(lb, ub, warm)
 
 
 def solve_lp_arrays(
@@ -822,7 +624,6 @@ def solve_lp_arrays(
     ub: np.ndarray,
     engine: str = "highs",
     max_iterations: int = 20000,
-    presolve: bool = True,
 ) -> ArrayLPResult:
     """Solve the bounded-variable LP with the requested engine.
 
@@ -835,141 +636,6 @@ def solve_lp_arrays(
         return ArrayLPResult("infeasible", None, np.nan)
     context = RelaxationContext(
         c, a_ub, b_ub, a_eq, b_eq, lb, ub,
-        engine=engine, max_iterations=max_iterations, presolve=presolve,
+        engine=engine, max_iterations=max_iterations,
     )
     return context.solve()
-
-
-def _standardize_arrays_reference(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    lb: np.ndarray,
-    ub: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Historical per-row-loop standardization (reference implementation).
-
-    Kept verbatim (minus the never-used objective constant) as the
-    cross-check oracle for :class:`RelaxationContext` and as the
-    "uncached" baseline of the node-cache micro-benchmark.  Returns
-    ``(a, b, cost, plus_cols, minus_cols)`` with original ``x[i] =
-    y[plus_cols[i]] - y[minus_cols[i]] + shift[i]`` (``minus_cols[i]`` is
-    -1 for non-free variables).
-    """
-    n = c.shape[0]
-    plus = np.zeros(n, dtype=int)
-    minus = np.full(n, -1, dtype=int)
-    shift = np.zeros(n)
-    ncols = 0
-    for i in range(n):
-        plus[i] = ncols
-        ncols += 1
-        if np.isneginf(lb[i]):
-            minus[i] = ncols
-            ncols += 1
-        else:
-            shift[i] = lb[i]
-
-    rows: list[tuple[np.ndarray, str, float]] = []
-
-    def expand(row: np.ndarray, rhs: float) -> tuple[np.ndarray, float]:
-        out = np.zeros(ncols)
-        adj = rhs
-        for i in range(n):
-            coef = row[i]
-            if coef == 0.0:
-                continue
-            out[plus[i]] += coef
-            if minus[i] >= 0:
-                out[minus[i]] -= coef
-            adj -= coef * shift[i]
-        return out, adj
-
-    for r in range(a_ub.shape[0]):
-        row, adj = expand(a_ub[r], float(b_ub[r]))
-        rows.append((row, "le", adj))
-    for r in range(a_eq.shape[0]):
-        row, adj = expand(a_eq[r], float(b_eq[r]))
-        rows.append((row, "eq", adj))
-    for i in range(n):
-        if not np.isposinf(ub[i]):
-            row = np.zeros(ncols)
-            row[plus[i]] = 1.0
-            if minus[i] >= 0:
-                row[minus[i]] = -1.0
-            rows.append((row, "le", float(ub[i]) - shift[i]))
-
-    nslack = sum(1 for _, sense, _ in rows if sense == "le")
-    total = ncols + nslack
-    a = np.zeros((len(rows), total))
-    b = np.zeros(len(rows))
-    slack = ncols
-    for r, (row, sense, rhs) in enumerate(rows):
-        a[r, :ncols] = row
-        b[r] = rhs
-        if sense == "le":
-            a[r, slack] = 1.0
-            slack += 1
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    cost = np.zeros(total)
-    for i in range(n):
-        cost[plus[i]] += c[i]
-        if minus[i] >= 0:
-            cost[minus[i]] -= c[i]
-    return a, b, cost, plus, minus
-
-
-def solve_lp_arrays_reference(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    max_iterations: int = 20000,
-) -> ArrayLPResult:
-    """The pre-cache builtin node solve: full loop standardization + cold start.
-
-    Benchmark baseline only — production callers use
-    :class:`RelaxationContext` / :func:`solve_lp_arrays`.
-    """
-    if (lb > ub + 1e-12).any():
-        return ArrayLPResult("infeasible", None, np.nan)
-    start = time.perf_counter()
-    a, b, cost, plus, minus = _standardize_arrays_reference(
-        c, a_ub, b_ub, a_eq, b_eq, lb, ub
-    )
-    conversion = time.perf_counter() - start
-    start = time.perf_counter()
-    result = solve_standard_form(a, b, cost, max_iterations=max_iterations)
-    solve_elapsed = time.perf_counter() - start
-    if result.status != "optimal":
-        status = "error" if result.status == "iteration_limit" else result.status
-        return ArrayLPResult(
-            status, None, -np.inf if status == "unbounded" else np.nan,
-            result.iterations,
-            message="iteration_limit" if result.status == "iteration_limit" else "",
-            conversion_seconds=conversion, solve_seconds=solve_elapsed,
-        )
-    y = result.x
-    n = c.shape[0]
-    x = np.empty(n)
-    for i in range(n):
-        val = y[plus[i]]
-        if minus[i] >= 0:
-            val -= y[minus[i]]
-        x[i] = val + (lb[i] if not np.isneginf(lb[i]) else 0.0)
-    return ArrayLPResult(
-        "optimal", x, float(c @ x), result.iterations,
-        phase1_iterations=result.phase1_iterations,
-        phase2_iterations=result.phase2_iterations,
-        bland_switches=result.bland_switches,
-        degenerate_pivots=result.degenerate_pivots,
-        conversion_seconds=conversion, solve_seconds=solve_elapsed,
-    )

@@ -2,7 +2,7 @@
 
 Historically every backend took ``**options`` and silently dropped the
 flags it did not understand (``mip_rel_gap`` on ``branch_bound``,
-``cover_cut_rounds`` on ``simplex``, ...).  :class:`SolveOptions` is the
+``cover_cut_rounds`` on ``rounding``, ...).  :class:`SolveOptions` is the
 replacement: a frozen dataclass carrying every knob any backend accepts,
 plus a per-backend capability table so :func:`SolveOptions.validate_for`
 can reject an option the chosen backend would ignore.  Built-in
@@ -34,26 +34,15 @@ class SolveOptions:
         Absolute incumbent/bound gap at which ``branch_bound`` declares
         optimality.
     max_iterations:
-        Simplex pivot budget per LP (``simplex``, and the builtin
-        relaxation engine of ``branch_bound``/``rounding``).
+        Simplex pivot budget per LP relaxation on the builtin engine
+        (``branch_bound``, ``rounding``).
     relaxation_engine:
-        Which LP engine solves node relaxations (``branch_bound``,
-        ``rounding``): ``"highs"``, ``"builtin"`` (the sparse revised
-        simplex), or ``"tableau"``
-        (the historical dense full-tableau simplex, kept for
-        cross-checking).
+        Which LP engine solves relaxations (``branch_bound``,
+        ``rounding``): ``"highs"`` or ``"builtin"`` (the sparse revised
+        simplex, re-entering warm nodes through the dual simplex).
+        Both run the array presolve once per tree.
     cover_cut_rounds:
         Rounds of root knapsack cover cuts (``branch_bound``).
-    node_resolve:
-        How warm-started branch-and-bound node re-solves run on the
-        builtin engine: ``"dual"`` (default) enters the dual simplex
-        from the parent basis, ``"primal"`` keeps the primal
-        phase-1/phase-2 path for every node.
-    presolve:
-        Array-level presolve of the root relaxation (``branch_bound``,
-        ``rounding``): singleton/redundant rows are dropped and bounds
-        tightened once per tree.  ``True`` by default; set ``False`` to
-        solve the raw arrays.
     warm_start:
         Variable-name → value hint from a previous, closely related
         solve.  ``branch_bound`` seeds its incumbent from it when the
@@ -69,8 +58,6 @@ class SolveOptions:
     max_iterations: int = 20000
     relaxation_engine: str = "highs"
     cover_cut_rounds: int = 0
-    node_resolve: str = "dual"
-    presolve: bool = True
     warm_start: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
@@ -84,18 +71,13 @@ class SolveOptions:
             raise ValueError("gap_tolerance cannot be negative")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.relaxation_engine not in ("highs", "builtin", "tableau"):
+        if self.relaxation_engine not in ("highs", "builtin"):
             raise ValueError(
                 f"unknown relaxation engine {self.relaxation_engine!r}; "
-                "expected 'highs', 'builtin' or 'tableau'"
+                "expected 'highs' or 'builtin'"
             )
         if self.cover_cut_rounds < 0:
             raise ValueError("cover_cut_rounds cannot be negative")
-        if self.node_resolve not in ("dual", "primal"):
-            raise ValueError(
-                f"unknown node_resolve {self.node_resolve!r}; "
-                "expected 'dual' or 'primal'"
-            )
 
     # -- per-backend validation -------------------------------------------
 
@@ -152,15 +134,10 @@ BACKEND_OPTION_FIELDS: dict[str, frozenset[str]] = {
             "max_iterations",
             "relaxation_engine",
             "cover_cut_rounds",
-            "node_resolve",
-            "presolve",
             "warm_start",
         }
     ),
-    "simplex": frozenset({"max_iterations"}),
-    "rounding": frozenset(
-        {"relaxation_engine", "max_iterations", "presolve", "warm_start"}
-    ),
+    "rounding": frozenset({"relaxation_engine", "max_iterations", "warm_start"}),
     "auto": frozenset(
         {
             "time_limit",
@@ -170,8 +147,6 @@ BACKEND_OPTION_FIELDS: dict[str, frozenset[str]] = {
             "max_iterations",
             "relaxation_engine",
             "cover_cut_rounds",
-            "node_resolve",
-            "presolve",
             "warm_start",
         }
     ),

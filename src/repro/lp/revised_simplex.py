@@ -1,8 +1,7 @@
 """Sparse bounded-variable revised simplex — the default builtin LP core.
 
-This replaces the dense full-tableau two-phase simplex as the engine
-behind ``engine="builtin"``.  The structural moves are the ones every
-production LP code makes:
+This is the engine behind ``engine="builtin"``.  The structural moves
+are the ones every production LP code makes:
 
 * **Implicit bounds.**  Variable bounds are never materialized as
   constraint rows.  Each variable carries a status — basic, nonbasic at
@@ -13,8 +12,8 @@ production LP code makes:
 * **Sparse data.**  The constraint matrix is stored once in CSC form
   (:class:`~repro.lp.sparse.CSCMatrix`); each row gets one slack to
   become an equality (``A x + s = b`` with the row sense encoded in the
-  slack's bounds), so the basis is ``m_structural`` wide instead of the
-  tableau engine's ``m + ~2n`` bound-row-inflated system.
+  slack's bounds), so the basis is ``m_structural`` wide instead of a
+  dense standard form's ``m + ~2n`` bound-row-inflated system.
 * **Factorized basis + product-form updates.**  The basis inverse is
   computed by LAPACK's LU (``numpy.linalg.inv`` = getrf/getri) over the
   structural rows only and then extended pivot-by-pivot with
@@ -22,9 +21,8 @@ production LP code makes:
   factorization every :data:`REFACTOR_INTERVAL` pivots (and whenever a
   pivot looks numerically suspect).
 * **Pricing.**  Dantzig pricing over cyclic partial-pricing blocks,
-  with the same degeneracy watchdog as the tableau engine: when the
-  step length stalls long enough, Bland's rule takes over until
-  progress resumes.
+  with a degeneracy watchdog: when the step length stalls long
+  enough, Bland's rule takes over until progress resumes.
 * **Two-pass ratio test.**  Pass one computes the maximum step under a
   small bound-relaxation tolerance; pass two picks the largest pivot
   element among the blocking candidates, trading a bounded feasibility
@@ -58,7 +56,7 @@ PIV_TOL = 1e-11
 REFACTOR_INTERVAL = 64
 
 #: Phase-1 residual infeasibility below which the basis counts feasible
-#: (matches the tableau engine's phase-1 threshold).
+#: (the dense reference simplex in the test suite uses the same threshold).
 PHASE1_TOL = 1e-7
 
 #: Nonbasic/basic variable statuses.
@@ -625,8 +623,7 @@ class _Solver:
                 self.phase1_iterations += 1
             else:
                 self.phase2_iterations += 1
-            # Degeneracy watchdog (same policy as the tableau engine):
-            # a long run of zero-length steps flips pricing to Bland's
+            # Degeneracy watchdog: a long run of zero-length steps flips pricing to Bland's
             # rule, which cannot cycle; any real step flips it back.
             if theta <= 1e-12:
                 self.degenerate_pivots += 1

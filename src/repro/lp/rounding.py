@@ -21,15 +21,13 @@ from .solution import Solution, SolveStatus
 from .standard_form import to_matrix_form
 
 
-def solve_with_rounding(
-    problem: Problem, engine: str = "highs", presolve: bool = True
-) -> Solution:
+def solve_with_rounding(problem: Problem, engine: str = "highs") -> Solution:
     """Relax-and-round. Status is ``FEASIBLE`` at best (never OPTIMAL)."""
     start = time.monotonic()
     form = to_matrix_form(problem)
     relax = solve_lp_arrays(
         form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
-        form.lb, form.ub, engine=engine, presolve=presolve,
+        form.lb, form.ub, engine=engine,
     )
 
     def make_stats() -> SolveStats:

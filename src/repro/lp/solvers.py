@@ -6,9 +6,9 @@ Backends:
     SciPy's bundled HiGHS (exact, fast; the default — the reproduction's
     stand-in for the paper's CPLEX).
 ``branch_bound``
-    Our from-scratch best-first B&B over LP relaxations (exact).
-``simplex``
-    Our from-scratch two-phase simplex; pure LPs only.
+    Our from-scratch best-first B&B over LP relaxations (exact); a pure
+    LP is one root relaxation, so with ``relaxation_engine="builtin"``
+    this is also the from-scratch LP solver.
 ``rounding``
     Relax-and-round heuristic (feasible, not optimal).
 ``auto``
@@ -39,7 +39,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..telemetry import SolveStats, metrics, record_solve
+from ..telemetry import metrics, record_solve
 from .branch_bound import solve_branch_and_bound
 from .fingerprint import (
     constraint_digest,
@@ -48,64 +48,13 @@ from .fingerprint import (
     problem_fingerprint,
     structure_fingerprint,
 )
-from .matrix_lp import RelaxationContext, solve_lp_arrays
+from .matrix_lp import RelaxationContext
 from .options import SolveOptions
 from .problem import Problem
 from .rounding import solve_with_rounding
-from .solution import Solution, SolveStatus
+from .solution import Solution
 from .sparse import objective_arrays
 from .standard_form import to_matrix_form
-
-
-def _solve_simplex(problem: Problem, options: SolveOptions) -> Solution:
-    """Pure-LP solve with the builtin simplex."""
-    if problem.is_mip:
-        raise ValueError(
-            "the simplex backend handles pure LPs only; "
-            "use 'branch_bound' or 'highs' for integer models"
-        )
-    start = time.monotonic()
-    form = to_matrix_form(problem)
-    result = solve_lp_arrays(
-        form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
-        form.lb, form.ub, engine="builtin",
-        max_iterations=options.max_iterations,
-    )
-    status = {
-        "optimal": SolveStatus.OPTIMAL,
-        "infeasible": SolveStatus.INFEASIBLE,
-        "unbounded": SolveStatus.UNBOUNDED,
-    }.get(result.status, SolveStatus.ERROR)
-    values = {}
-    objective = float("nan")
-    if result.x is not None and status.has_solution:
-        values = {var: float(result.x[i]) for i, var in enumerate(form.variables)}
-        objective = problem.evaluate_objective(values)
-    stats = SolveStats(
-        backend="simplex",
-        elapsed_seconds=time.monotonic() - start,
-        lp_iterations=result.iterations,
-        phase1_iterations=result.phase1_iterations,
-        phase2_iterations=result.phase2_iterations,
-        bland_switches=result.bland_switches,
-        degenerate_pivots=result.degenerate_pivots,
-        refactorizations=result.refactorizations,
-        eta_file_length=result.eta_file_length,
-        pricing_passes=result.pricing_passes,
-        bound_flips=result.bound_flips,
-        incumbent=objective,
-        best_bound=objective if status is SolveStatus.OPTIMAL else float("-inf"),
-        mip_gap=0.0 if status is SolveStatus.OPTIMAL else float("nan"),
-    )
-    return Solution(
-        status=status,
-        objective=objective,
-        values=values,
-        solver="simplex",
-        iterations=result.iterations,
-        message=result.status,
-        stats=stats,
-    )
 
 
 def _solve_branch_bound(
@@ -123,8 +72,6 @@ def _solve_branch_bound(
         gap_tolerance=options.gap_tolerance,
         cover_cut_rounds=options.cover_cut_rounds,
         max_iterations=options.max_iterations,
-        node_resolve=options.node_resolve,
-        presolve=options.presolve,
         warm_start=options.warm_start,
         form=form,
         context=context,
@@ -150,9 +97,7 @@ def _solve_highs(problem: Problem, options: SolveOptions) -> Solution:
 
 
 def _solve_rounding(problem: Problem, options: SolveOptions) -> Solution:
-    return solve_with_rounding(
-        problem, engine=options.relaxation_engine, presolve=options.presolve
-    )
+    return solve_with_rounding(problem, engine=options.relaxation_engine)
 
 
 def _solve_auto(problem: Problem, options: SolveOptions) -> Solution:
@@ -168,7 +113,6 @@ def _solve_auto(problem: Problem, options: SolveOptions) -> Solution:
 _BACKENDS: dict[str, Callable[..., Solution]] = {
     "highs": _solve_highs,
     "branch_bound": _solve_branch_bound,
-    "simplex": _solve_simplex,
     "rounding": _solve_rounding,
     "auto": _solve_auto,
 }
@@ -537,8 +481,7 @@ class SolveCache:
                     rhs = -rhs
                 b_app[r] = rhs
                 app_digests.append(constraint_digest(con))
-            if not context.extend_rows(a_app, b_app):
-                return None
+            context.extend_rows(a_app, b_app)
             # The form mirrors the cold convention (appended non-EQ rows
             # land at the end of a_ub), so incumbent-hint validation and
             # objective evaluation see exactly what a rebuild would.
@@ -589,13 +532,13 @@ class SolveCache:
         """(form, context, basis_io) for a branch_bound solve, reusing when safe."""
         if options.cover_cut_rounds > 0:
             return None, None, None  # cuts mutate the row set; no reuse
-        opt_key = (
-            f"{options.relaxation_engine}|{options.node_resolve}"
-            f"|{int(options.presolve)}"
-        )
+        opt_key = options.relaxation_engine
         if self._context is not None and self._ctx_opt_key == opt_key:
             reused = self._reuse_or_extend(problem)
             if reused is not None:
+                # The pivot budget is a per-solve option, not part of
+                # the cached structure: honour the caller's current one.
+                self._context.max_iterations = options.max_iterations
                 return reused
         form = to_matrix_form(problem)
         self.context_rebuilds += 1
@@ -604,8 +547,6 @@ class SolveCache:
             form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
             form.lb, form.ub, engine=options.relaxation_engine,
             max_iterations=options.max_iterations,
-            node_resolve=options.node_resolve,
-            presolve=options.presolve,
             integrality=form.integrality,
         )
         self._form = form

@@ -2,7 +2,7 @@
 
 :func:`to_matrix_form` gives the natural inequality form
 (``A_ub x <= b_ub``, ``A_eq x = b_eq`` plus bounds) that the
-``branch_bound``, ``rounding`` and ``simplex`` backends consume.  The
+``branch_bound`` and ``rounding`` backends consume.  The
 matrices are a dense view **derived from** the shared sparse assembly
 (:func:`repro.lp.sparse.constraint_blocks`) — the same traversal the
 HiGHS backend, the revised simplex core, and the fingerprint layer

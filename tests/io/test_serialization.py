@@ -136,20 +136,34 @@ class TestPlanSerialization:
 class TestCaseStudyPlanRoundTrips:
     """plan → JSON → plan on the three paper case studies."""
 
-    @pytest.mark.parametrize("name", ["enterprise1", "federal", "florida"])
-    def test_round_trip_preserves_the_plan(self, name, tmp_path):
+    @pytest.fixture(scope="class")
+    def case_study_plan(self):
+        """Each estate is solved once (HiGHS, ×0.25) for the whole class."""
         from repro.datasets import load_enterprise1, load_federal, load_florida
-        from repro.io import load_plan, save_plan
 
-        loader = {
+        loaders = {
             "enterprise1": load_enterprise1,
             "federal": load_federal,
             "florida": load_florida,
-        }[name]
-        state = loader(scale=0.25)
-        plan = repro.solve(
-            state, method="milp", options=PlannerOptions(backend="highs")
-        ).plan
+        }
+        plans = {}
+
+        def plan_for(name):
+            if name not in plans:
+                plans[name] = repro.solve(
+                    loaders[name](scale=0.25),
+                    method="milp",
+                    options=PlannerOptions(backend="highs"),
+                ).plan
+            return plans[name]
+
+        return plan_for
+
+    @pytest.mark.parametrize("name", ["enterprise1", "federal", "florida"])
+    def test_round_trip_preserves_the_plan(self, name, tmp_path, case_study_plan):
+        from repro.io import load_plan, save_plan
+
+        plan = case_study_plan(name)
 
         path = tmp_path / f"{name}.json"
         save_plan(plan, str(path))
@@ -169,18 +183,10 @@ class TestCaseStudyPlanRoundTrips:
         )
 
     @pytest.mark.parametrize("name", ["enterprise1", "federal", "florida"])
-    def test_solve_stats_round_trip(self, name):
-        from repro.datasets import load_enterprise1, load_federal, load_florida
+    def test_solve_stats_round_trip(self, name, case_study_plan):
         from repro.telemetry import SolveStats
 
-        loader = {
-            "enterprise1": load_enterprise1,
-            "federal": load_federal,
-            "florida": load_florida,
-        }[name]
-        plan = repro.solve(
-            loader(scale=0.25), method="milp", options=PlannerOptions(backend="highs")
-        ).plan
+        plan = case_study_plan(name)
         stats = plan.solver_stats
         assert stats is not None
         restored = SolveStats.from_dict(

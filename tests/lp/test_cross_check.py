@@ -1,13 +1,13 @@
 """Three-way engine agreement on seeded random bounded LPs.
 
 Fifty deterministic instances (mixed inequality/equality rows, finite
-boxes, some infeasible by construction) must agree across all three LP
-engines — the sparse revised simplex (``builtin``), the dense tableau
-(``tableau``) and HiGHS — on status, on the objective to 1e-6 when
-optimal, and on the *feasibility of the recovered solution* (the
-objective matching means nothing if the point violates a row).  This is
-the contract that lets the branch-and-bound relaxation engine be
-swapped freely.
+boxes, some infeasible by construction) must agree across three LP
+solvers — the library's sparse revised simplex (``builtin``), the dense
+tableau oracle of :mod:`tests.oracles` (``tableau``) and HiGHS — on
+status, on the objective to 1e-6 when optimal, and on the *feasibility
+of the recovered solution* (the objective matching means nothing if the
+point violates a row).  This is the contract that lets the
+branch-and-bound relaxation engine be swapped freely.
 """
 
 from __future__ import annotations
@@ -15,9 +15,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lp.matrix_lp import RelaxationContext, solve_lp_arrays
+from repro.lp.matrix_lp import ArrayLPResult, RelaxationContext, solve_lp_arrays
+from repro.lp.revised_simplex import SparseBoundedLP, solve_bounded_lp
+
+from ..oracles.reference import solve_lp_arrays_reference
 
 ENGINES = ("builtin", "tableau", "highs")
+
+
+def _solve_arrays(engine: str, **kw):
+    """One cold solve: the tableau arm runs the test-suite oracle."""
+    if engine == "tableau":
+        return solve_lp_arrays_reference(**kw)
+    return solve_lp_arrays(engine=engine, **kw)
 
 
 def _random_instance(seed: int) -> dict:
@@ -57,7 +67,7 @@ def _assert_feasible(x: np.ndarray, kw: dict, lb=None, ub=None, tol: float = 1e-
 @pytest.mark.parametrize("seed", range(50))
 def test_three_way_agreement(seed):
     kw = _random_instance(seed)
-    results = {eng: solve_lp_arrays(engine=eng, **kw) for eng in ENGINES}
+    results = {eng: _solve_arrays(eng, **kw) for eng in ENGINES}
     statuses = {eng: r.status for eng, r in results.items()}
     assert len(set(statuses.values())) == 1, f"status split: {statuses}"
     if results["highs"].status == "optimal":
@@ -70,10 +80,24 @@ def test_three_way_agreement(seed):
 @pytest.mark.parametrize("seed", range(0, 50, 7))
 @pytest.mark.parametrize("engine", ["builtin", "tableau"])
 def test_warm_started_children_agree_with_highs(seed, engine):
-    """Cached + warm-started child solves must match fresh HiGHS solves."""
+    """Child solves must match fresh HiGHS solves.
+
+    The ``builtin`` arm runs cached, warm-started children on one
+    context; the ``tableau`` arm re-solves each child cold through the
+    oracle, which has no context or warm start to reuse.
+    """
     kw = _random_instance(seed)
-    ctx = RelaxationContext(engine=engine, **kw)
-    root = ctx.solve()
+    if engine == "builtin":
+        ctx = RelaxationContext(engine="builtin", **kw)
+        root = ctx.solve()
+
+        def solve_child(lb, ub):
+            return ctx.solve(lb, ub, warm=root.warm_token)
+    else:
+        root = solve_lp_arrays_reference(**kw)
+
+        def solve_child(lb, ub):
+            return solve_lp_arrays_reference(**{**kw, "lb": lb, "ub": ub})
     if root.status != "optimal":
         pytest.skip("root relaxation infeasible for this seed")
     rng = np.random.default_rng(9000 + seed)
@@ -87,7 +111,7 @@ def test_warm_started_children_agree_with_highs(seed, engine):
             lb[j] = mid
         else:
             ub[j] = mid
-        child = ctx.solve(lb, ub, warm=root.warm_token)
+        child = solve_child(lb, ub)
         ref = solve_lp_arrays(
             engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
             a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb, ub=ub,
@@ -106,12 +130,23 @@ def test_revised_warm_chains_stay_consistent(seed, node_resolve):
     The revised core's tokens carry (basis, vstat) rather than a column
     layout, so chains of warm starts across successive bound tightenings
     exercise the phase-1 repair path on bases that drifted two solves
-    back.  Run once through the dual re-solve path (the default) and
-    once forcing primal restarts, so both node paths stay covered.
+    back.  Run once through a context (presolve, then dual re-solves)
+    and once through the primal core alone on the raw arrays, so both
+    node paths stay covered.
     """
     kw = _random_instance(seed)
-    ctx = RelaxationContext(engine="builtin", node_resolve=node_resolve, **kw)
-    node = ctx.solve()
+    if node_resolve == "dual":
+        ctx = RelaxationContext(engine="builtin", **kw)
+        solve_node = ctx.solve
+    else:
+        family = SparseBoundedLP(kw["c"], kw["a_ub"], kw["b_ub"], kw["a_eq"], kw["b_eq"])
+
+        def solve_node(lb=kw["lb"], ub=kw["ub"], warm=None):
+            res = solve_bounded_lp(family, lb, ub, warm=warm)
+            return ArrayLPResult(
+                res.status, res.x, res.objective, warm_token=(res.basis, res.vstat)
+            )
+    node = solve_node()
     if node.status != "optimal":
         pytest.skip("root relaxation infeasible for this seed")
     rng = np.random.default_rng(4200 + seed)
@@ -124,7 +159,7 @@ def test_revised_warm_chains_stay_consistent(seed, node_resolve):
             lb[j] = mid
         else:
             ub[j] = mid
-        child = ctx.solve(lb, ub, warm=node.warm_token)
+        child = solve_node(lb, ub, warm=node.warm_token)
         ref = solve_lp_arrays(
             engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
             a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb, ub=ub,
@@ -143,18 +178,17 @@ def test_revised_warm_chains_stay_consistent(seed, node_resolve):
 def test_dual_children_match_tableau_and_highs(seed):
     """Child and grandchild dual re-solves vs the tableau oracle and HiGHS.
 
-    The tableau context runs presolve-free and restarts primal phase 1 at
-    every node, so it cross-checks both new subsystems at once: the array
+    The tableau oracle runs presolve-free and restarts primal phase 1 at
+    every node, so it cross-checks both subsystems at once: the array
     presolve threaded into the builtin context and the dual simplex the
     warm re-solves enter.  Each branch tightens one bound off the parent
     (child) and then one more off the child (grandchild), mimicking a
     depth-2 branch-and-bound dive.
     """
     kw = _random_instance(seed)
-    dual_ctx = RelaxationContext(engine="builtin", node_resolve="dual", **kw)
-    tab_ctx = RelaxationContext(engine="tableau", **kw)
+    dual_ctx = RelaxationContext(engine="builtin", **kw)
     root = dual_ctx.solve()
-    assert root.status == tab_ctx.solve().status
+    assert root.status == solve_lp_arrays_reference(**kw).status
     if root.status != "optimal":
         pytest.skip("root relaxation infeasible for this seed")
     rng = np.random.default_rng(7100 + seed)
@@ -173,7 +207,7 @@ def test_dual_children_match_tableau_and_highs(seed):
     for _ in range(3):
         lb1, ub1 = tighten(kw["lb"], kw["ub"])
         child = dual_ctx.solve(lb1, ub1, warm=root.warm_token)
-        oracle = tab_ctx.solve(lb1, ub1)
+        oracle = solve_lp_arrays_reference(**{**kw, "lb": lb1, "ub": ub1})
         assert child.status == oracle.status
         if child.status == "optimal":
             assert child.objective == pytest.approx(

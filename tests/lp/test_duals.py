@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.lp.dual_simplex import solve_bounded_lp_dual
-from repro.lp.matrix_lp import solve_lp_arrays
+from repro.lp.matrix_lp import _solve_highs_arrays, solve_lp_arrays
 from repro.lp.revised_simplex import SparseBoundedLP, solve_bounded_lp
 from repro.lp.sparse import CSCMatrix
 
@@ -148,19 +148,35 @@ class TestDualSimplexDuals:
 
 
 class TestArrayLPDuals:
-    @staticmethod
-    def _solve(engine: str):
-        return solve_lp_arrays(
-            c=np.array([-3.0, -2.0]),
-            a_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
-            b_ub=np.array([4.0, 3.0]),
-            a_eq=np.zeros((0, 2)),
-            b_eq=np.zeros(0),
-            lb=np.zeros(2),
-            ub=np.full(2, 10.0),
-            engine=engine,
-            presolve=False,
-        )
+    ARRAYS = dict(
+        c=np.array([-3.0, -2.0]),
+        a_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
+        b_ub=np.array([4.0, 3.0]),
+        a_eq=np.zeros((0, 2)),
+        b_eq=np.zeros(0),
+        lb=np.zeros(2),
+        ub=np.full(2, 10.0),
+    )
+
+    @classmethod
+    def _solve(cls, engine: str):
+        # Raw arrays, no presolve: the singleton row ``x <= 3`` must stay
+        # a row (presolve would turn it into a bound) to carry its dual.
+        kw = cls.ARRAYS
+        if engine == "highs":
+            return _solve_highs_arrays(**kw)
+        family = SparseBoundedLP(kw["c"], kw["a_ub"], kw["b_ub"], kw["a_eq"], kw["b_eq"])
+        return solve_bounded_lp(family, kw["lb"], kw["ub"])
+
+    @pytest.mark.parametrize("engine", ["builtin", "highs"])
+    def test_presolved_context_duals_cover_the_kept_rows(self, engine):
+        # The context drops the singleton row into x's bound, so only
+        # the coupling row is left to price.
+        if engine == "highs":
+            pytest.importorskip("scipy")
+        res = solve_lp_arrays(engine=engine, **self.ARRAYS)
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.duals, [-2.0], atol=1e-7)
 
     def test_builtin_array_path_carries_duals(self):
         res = self._solve("builtin")

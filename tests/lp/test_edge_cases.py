@@ -8,6 +8,7 @@ import pytest
 from repro.lp import (
     Problem,
     Solution,
+    SolveOptions,
     SolveStatus,
     Variable,
     quicksum,
@@ -15,7 +16,14 @@ from repro.lp import (
 )
 from repro.lp.branch_bound import solve_branch_and_bound
 from repro.lp.matrix_lp import solve_lp_arrays
-from repro.lp.simplex import solve_standard_form
+from repro.lp.standard_form import to_matrix_form
+
+from ..oracles.reference import solve_lp_arrays_reference
+from ..oracles.simplex import solve_standard_form
+
+#: The from-scratch LP path: branch and bound over the builtin engine
+#: (a pure LP is one root relaxation).
+BUILTIN = SolveOptions(relaxation_engine="builtin")
 
 
 class TestSimplexLimits:
@@ -120,8 +128,10 @@ class TestDegenerateModels:
         p.add_constraint(x <= 3, "a")
         p.add_constraint(x <= 3, "b")
         p.set_objective(-x)
-        for backend in ("highs", "simplex", "branch_bound"):
-            sol = solve(p, backend=backend)
+        for backend, options in (
+            ("highs", None), ("branch_bound", BUILTIN), ("branch_bound", None)
+        ):
+            sol = solve(p, backend=backend, options=options)
             assert sol.objective == pytest.approx(-3.0)
 
     def test_variable_absent_from_constraints(self):
@@ -134,11 +144,18 @@ class TestDegenerateModels:
         assert sol.value(y) == pytest.approx(2.0)
 
     def test_equality_with_negative_rhs_builtin(self):
-        # Exercises the b<0 row-flip in standardization.
+        # A negative rhs on a free variable: the builtin engine takes it
+        # as a slack bound; the tableau oracle exercises its b<0 row-flip.
         p = Problem()
         x = p.add_variable("x", lb=None, ub=None)
         p.add_constraint(x == -5)
         p.set_objective(x)
-        sol = solve(p, backend="simplex")
+        sol = solve(p, backend="branch_bound", options=BUILTIN)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.value(x) == pytest.approx(-5.0)
+        form = to_matrix_form(p)
+        ref = solve_lp_arrays_reference(
+            form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, form.lb, form.ub
+        )
+        assert ref.status == "optimal"
+        assert ref.x[0] == pytest.approx(-5.0)

@@ -1,8 +1,9 @@
 """Pin the historical reference path against the shared sparse assembly.
 
-``solve_lp_arrays_reference`` (the per-row Python-loop standardization
-kept from before the node cache) is the oracle every cross-check leans
-on, and ``to_matrix_form`` now *derives* its dense matrices from
+``solve_lp_arrays_reference`` (:mod:`tests.oracles.reference`, the
+per-row Python-loop standardization kept from before the node cache) is
+the oracle every cross-check leans on, and ``to_matrix_form`` now
+*derives* its dense matrices from
 :func:`repro.lp.sparse.constraint_blocks`.  These tests pin the two
 together so the baseline cannot silently drift from what the sparse
 assembly feeds the engines:
@@ -10,8 +11,6 @@ assembly feeds the engines:
 * the dense view derived from the sparse blocks must be entry-for-entry
   identical to the historical direct dense build (row order, GE
   negation, interleave included);
-* the tableau context's root standardization must equal the reference
-  per-row standardization matrix-for-matrix;
 * reference solves must agree with the revised core on the seeded
   cross-check instances.
 """
@@ -22,12 +21,7 @@ import numpy as np
 import pytest
 
 from repro.lp.expressions import Sense
-from repro.lp.matrix_lp import (
-    RelaxationContext,
-    _standardize_arrays_reference,
-    solve_lp_arrays,
-    solve_lp_arrays_reference,
-)
+from repro.lp.matrix_lp import solve_lp_arrays
 from repro.lp.problem import ObjectiveSense, Problem
 from repro.lp.sparse import (
     CSCMatrix,
@@ -37,6 +31,7 @@ from repro.lp.sparse import (
 )
 from repro.lp.standard_form import to_matrix_form
 
+from ..oracles.reference import solve_lp_arrays_reference
 from .test_cross_check import _random_instance
 
 
@@ -140,17 +135,6 @@ class TestDenseViewDerivation:
 
 
 class TestReferenceStandardization:
-    @pytest.mark.parametrize("seed", range(0, 50, 5))
-    def test_tableau_root_assembly_equals_reference(self, seed):
-        """The tableau context's cached root build is the reference build."""
-        kw = _random_instance(seed)
-        ctx = RelaxationContext(engine="tableau", **kw)
-        a, b, cost, _key = ctx._assemble(kw["lb"], kw["ub"])
-        a_ref, b_ref, cost_ref, _plus, _minus = _standardize_arrays_reference(**kw)
-        np.testing.assert_allclose(a, a_ref, atol=1e-12)
-        np.testing.assert_allclose(b, b_ref, atol=1e-12)
-        np.testing.assert_allclose(cost, cost_ref, atol=1e-12)
-
     @pytest.mark.parametrize("seed", range(0, 50, 5))
     def test_reference_solves_agree_with_revised_core(self, seed):
         kw = _random_instance(seed)

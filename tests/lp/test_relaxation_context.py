@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lp.matrix_lp import (
-    RelaxationContext,
-    solve_lp_arrays,
-    solve_lp_arrays_reference,
-)
+from repro.lp.matrix_lp import RelaxationContext, solve_lp_arrays
+
+from ..oracles.reference import solve_lp_arrays_reference
 
 
 def problem():
@@ -84,26 +82,9 @@ class TestChildNodes:
         assert cached.objective == pytest.approx(fresh.objective, abs=1e-8)
         assert ctx.structural_rebuilds == 0
 
-    def test_loosening_a_root_finite_lb_rebuilds_tableau(self):
-        # The dense tableau's plus/minus column split is fixed at the
-        # root, so loosening a root-finite lb forces a restandardization.
-        kw = problem()
-        ctx = RelaxationContext(engine="tableau", **kw)
-        lb = kw["lb"].copy()
-        lb[2] = -np.inf  # z was finite at the root
-        res = ctx.solve(lb, kw["ub"])
-        fresh = solve_lp_arrays(
-            engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
-            a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb, ub=kw["ub"],
-        )
-        assert ctx.structural_rebuilds == 1
-        assert res.status == fresh.status
-        if fresh.status == "optimal":
-            assert res.objective == pytest.approx(fresh.objective, abs=1e-8)
-
     def test_loosening_a_root_finite_lb_is_native_for_revised(self):
-        # The revised core keeps bounds implicit, so the same loosening
-        # is just another bound-array update: no rebuild at all.
+        # The revised core keeps bounds implicit, so loosening a
+        # root-finite lb is just another bound-array update: no rebuild.
         kw = problem()
         ctx = RelaxationContext(engine="builtin", **kw)
         lb = kw["lb"].copy()
@@ -130,16 +111,6 @@ class TestWarmTokens:
         assert again.warm_started
         assert again.objective == pytest.approx(root.objective)
         assert ctx.warm_start_hits >= 1
-
-    def test_mismatched_bound_pattern_ignores_token_tableau(self):
-        kw = problem()
-        ctx = RelaxationContext(engine="tableau", **kw)
-        root = ctx.solve()
-        ub = kw["ub"].copy()
-        ub[2] = 9.0  # new finite ub changes the bound-row pattern
-        child = ctx.solve(kw["lb"], ub, warm=root.warm_token)
-        assert child.status == "optimal"
-        assert not child.warm_started
 
     def test_changed_bound_pattern_still_warm_starts_revised(self):
         # The revised core's column layout is bound-independent, so the
@@ -197,7 +168,7 @@ class TestTelemetry:
     def test_tableau_engine_matches_revised(self):
         kw = problem()
         rev = solve_lp_arrays(engine="builtin", **kw)
-        tab = solve_lp_arrays(engine="tableau", **kw)
+        tab = solve_lp_arrays_reference(**kw)
         assert rev.status == tab.status == "optimal"
         assert rev.objective == pytest.approx(tab.objective, abs=1e-8)
 

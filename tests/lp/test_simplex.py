@@ -1,4 +1,4 @@
-"""From-scratch simplex: unit cases plus property tests against HiGHS."""
+"""The dense tableau oracle: unit cases plus property tests against HiGHS."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.lp.simplex import solve_standard_form
+from ..oracles.simplex import solve_standard_form
 
 
 class TestStandardFormSolver:
@@ -128,7 +128,7 @@ class TestBlandTieBreak:
     """Regression: Bland ties must break on basic-variable index, not row."""
 
     def test_tie_breaks_on_basic_variable_index(self):
-        from repro.lp.simplex import _choose_leaving
+        from ..oracles.simplex import _choose_leaving
 
         # Two rows tied at ratio 1.0; row 0's basic variable is 7, row
         # 1's is 3.  Bland must evict the lower *variable* (row 1).

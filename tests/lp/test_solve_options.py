@@ -8,6 +8,7 @@ from repro.lp import (
     Problem,
     SolveCache,
     SolveOptions,
+    SolveStatus,
     problem_fingerprint,
     quicksum,
     solve,
@@ -28,7 +29,7 @@ class TestSolveOptionsValidation:
         with pytest.raises(ValueError, match="node_limit"):
             SolveOptions(node_limit=5).validate_for("highs")
         with pytest.raises(ValueError, match="time_limit"):
-            SolveOptions(time_limit=1.0).validate_for("simplex")
+            SolveOptions(time_limit=1.0).validate_for("rounding")
 
     def test_error_lists_supported_options(self):
         with pytest.raises(ValueError, match="supported options"):
@@ -42,7 +43,7 @@ class TestSolveOptionsValidation:
             SolveOptions(time_limit=0.0)
         with pytest.raises(ValueError):
             SolveOptions(node_limit=0)
-        for engine in ("cplex", "revised"):
+        for engine in ("cplex", "revised", "tableau"):
             with pytest.raises(ValueError, match="unknown relaxation engine"):
                 SolveOptions(relaxation_engine=engine)
         with pytest.raises(ValueError):
@@ -143,6 +144,23 @@ class TestSolveCache:
         solve(p, backend="branch_bound", options=opts, cache=cache)
         assert cache.context_rebuilds == 1
         assert cache.context_reuses == 1
+
+    def test_reused_context_honours_the_current_pivot_budget(self):
+        p = knapsack()
+        cache = SolveCache()
+        opts = SolveOptions(relaxation_engine="builtin")
+        p.variables[2].lb = 1.0
+        solve(p, backend="branch_bound", options=opts, cache=cache)
+        p.variables[2].lb = 0.0  # loosened: a fingerprint miss, same rows
+        tight = opts.replace(max_iterations=1)
+        again = solve(p, backend="branch_bound", options=tight, cache=cache)
+        assert cache.context_reuses == 1
+        # The root re-solve needs more than one pivot, so the reused
+        # context must stop where a cold context with this budget does.
+        cold = solve(p, backend="branch_bound", options=tight)
+        assert "iteration_limit" in cold.message
+        assert again.status is not SolveStatus.OPTIMAL
+        assert "iteration_limit" in again.message
 
     def test_added_row_extends_context_in_place(self):
         p = knapsack()

@@ -35,8 +35,14 @@ def assignment_problem():
 class TestRegistry:
     def test_available_backends(self):
         names = available_backends()
-        for expected in ("auto", "branch_bound", "highs", "rounding", "simplex"):
+        for expected in ("auto", "branch_bound", "highs", "rounding"):
             assert expected in names
+        assert "simplex" not in names
+
+    def test_removed_simplex_backend_is_unknown(self):
+        # Pure LPs go through branch_bound (one root relaxation).
+        with pytest.raises(ValueError, match="unknown backend"):
+            solve(Problem(), backend="simplex")
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -77,10 +83,6 @@ class TestCrossBackendAgreement:
             values = sol.values
             assert p.is_feasible(values)
 
-    def test_simplex_rejects_mips(self):
-        with pytest.raises(ValueError, match="pure LPs only"):
-            solve(assignment_problem(), backend="simplex")
-
     def test_simplex_lp_matches_highs_lp(self):
         p = Problem()
         x = p.add_variable("x", ub=4.0)
@@ -88,7 +90,10 @@ class TestCrossBackendAgreement:
         p.add_constraint(x + y <= 6)
         p.add_constraint(x - y >= -2)
         p.set_objective(-(3 * x + 2 * y))
-        s1 = solve(p, backend="simplex")
+        s1 = solve(
+            p, backend="branch_bound",
+            options=SolveOptions(relaxation_engine="builtin"),
+        )
         s2 = solve(p, backend="highs")
         assert s1.objective == pytest.approx(s2.objective)
 
@@ -251,12 +256,18 @@ class TestSolveStatsAttached:
         y = p.add_variable("y", ub=4.0)
         p.add_constraint(x + y <= 6)
         p.set_objective(-(3 * x + 2 * y))
-        sol = solve(p, backend="simplex")
+        sol = solve(
+            p, backend="branch_bound",
+            options=SolveOptions(relaxation_engine="builtin"),
+        )
         stats = sol.stats
         assert stats is not None
         assert stats.lp_iterations == stats.phase1_iterations + stats.phase2_iterations
-        assert stats.lp_iterations == sol.iterations
-        assert stats.backend == "simplex"
+        assert stats.lp_iterations > 0
+        # Branch and bound reports nodes as its iteration count; a pure
+        # LP is the root node alone.
+        assert sol.iterations == stats.nodes_explored == 1
+        assert stats.backend == "branch_bound[builtin]"
 
     def test_highs_solution_carries_timing_and_gap(self):
         sol = solve(assignment_problem(), backend="highs")

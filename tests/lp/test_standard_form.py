@@ -65,21 +65,24 @@ class TestFreeVariableUpperBound:
 
     A standardization that emits ``x_plus <= ub`` instead of
     ``x_plus - x_minus <= ub`` makes a negative upper bound unsatisfiable
-    (``x_plus >= 0``) and reports a feasible problem infeasible.  Both
-    builtin engines standardize the matrix form themselves; the raw
-    arrays are solved without presolve so the bound reaches them intact.
+    (``x_plus >= 0``) and reports a feasible problem infeasible.  The
+    revised core and the tableau oracle each standardize the matrix form
+    themselves; the raw arrays are solved without presolve so the bound
+    reaches them intact.
     """
 
     def _solve(self, problem):
-        from repro.lp.matrix_lp import solve_lp_arrays
+        from repro.lp.revised_simplex import SparseBoundedLP, solve_bounded_lp
+
+        from ..oracles.reference import solve_lp_arrays_reference
 
         form = to_matrix_form(problem)
+        family = SparseBoundedLP(form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq)
         results = [
-            solve_lp_arrays(
-                form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
-                form.lb, form.ub, engine=engine, presolve=False,
-            )
-            for engine in ("builtin", "tableau")
+            solve_bounded_lp(family, form.lb, form.ub),
+            solve_lp_arrays_reference(
+                form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, form.lb, form.ub
+            ),
         ]
         return form, results
 

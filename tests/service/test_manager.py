@@ -238,15 +238,17 @@ class TestWorkerDeath:
 
     def test_worker_exception_fails_without_retry(self, make_manager, state_doc):
         # An in-worker exception is deterministic: retrying would fail
-        # identically, so the job must fail on attempt 1.
+        # identically, so the job must fail on attempt 1.  The options
+        # parse at submit time; only the MILP solve rejects a node limit
+        # HiGHS does not honour.
         manager = make_manager()
         payload = plan_payload(state_doc)
-        payload["options"] = {"backend": "highs", "solver_options": {"nope": 1}}
+        payload["options"] = {"backend": "highs", "solver_options": {"node_limit": 5}}
         record = manager.submit("plan", payload)
         done = manager.wait(record.id, timeout=60.0)
         assert done.state is JobState.FAILED
         assert done.attempts == 1
-        assert done.error
+        assert "node_limit" in done.error
 
 
 class TestTimeoutsAndCancellation:
@@ -357,6 +359,26 @@ class TestSubmitValidation:
         for options in ({"lp_export_path": "/x"}, {"presolve": True}):
             with pytest.raises(PayloadError, match="unknown planner option"):
                 manager.submit("plan", {"state": state_doc, "options": options})
+
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"solver_options": {"bogus": 1}}, "bogus"),
+            ({"solver_options": {"node_limit": -5}}, "node_limit"),
+            ({"solver_options": {"node_resolve": "primal"}}, "node_resolve"),
+            ({"solver_options": {"presolve": False}}, "presolve"),
+            ({"solver_options": {"relaxation_engine": "tableau"}}, "tableau"),
+            ({"backend": "nope"}, "unknown backend"),
+            ({"backend": "simplex"}, "unknown backend"),
+        ],
+    )
+    def test_bad_solver_option_rejected_at_submit_time(
+        self, manager, state_doc, options, match
+    ):
+        # Parsed as the worker would parse them: each of these used to
+        # pass submit and fail (or be ignored) on the worker.
+        with pytest.raises(PayloadError, match=match):
+            manager.submit("plan", {"state": state_doc, "options": options})
 
     def test_bad_directive_rejected_at_submit_time(self, manager, state_doc):
         with pytest.raises(PayloadError, match="directive"):

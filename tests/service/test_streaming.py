@@ -193,7 +193,8 @@ class TestWatchCli:
     def test_watch_failed_job_exits_nonzero(self, service, state_doc):
         _, client = service
         bad = dict(plan_payload(state_doc))
-        bad["options"] = {"backend": "no-such-backend"}
+        # Passes submit-time parsing, fails in the worker's MILP solve.
+        bad["options"] = {"backend": "highs", "solver_options": {"node_limit": 5}}
         job = client.submit("plan", bad)
         client.wait(job["id"], timeout=30.0, raise_on_failure=False)
         out = io.StringIO()

@@ -103,8 +103,6 @@ SOLVE_OPTION_FIELDS = {
     "max_iterations",
     "relaxation_engine",
     "cover_cut_rounds",
-    "node_resolve",
-    "presolve",
     "warm_start",
 }
 
