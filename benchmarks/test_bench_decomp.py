@@ -55,7 +55,7 @@ SMOKE = os.environ.get("DECOMP_SMOKE", "") not in ("", "0")
 BUDGET = 20.0 if SMOKE else 120.0
 
 #: Monolithic ladder: enterprise1 scales, climbed until a rung fails.
-MONO_SCALES = (0.08, 0.12) if SMOKE else (0.3, 0.5, 0.7)
+MONO_SCALES = (0.08, 0.12) if SMOKE else (0.3, 0.5, 0.7, 1.0)
 
 #: Decomposition ladder: (label, state builder).
 GAP_TARGET = 0.02
@@ -118,6 +118,8 @@ def _run_monolithic(state) -> dict:
         "elapsed_seconds": round(elapsed, 3),
         "objective": plan.breakdown.total,
         "gap": gap,
+        "nodes": stats.nodes_explored if stats is not None else None,
+        "cuts_added": stats.cuts_added if stats is not None else None,
     }
 
 
@@ -167,7 +169,8 @@ def test_bench_decomposition_scaling(archive, archive_json):
         record["monolithic"].append(result)
         mono_results[scale] = result
         status = (
-            f"ok {result['elapsed_seconds']:.1f}s gap {result['gap']:.2%}"
+            f"ok {result['elapsed_seconds']:.1f}s gap {result['gap']:.2%} "
+            f"{result['nodes']} nodes {result['cuts_added']} cuts"
             if result["solved"]
             else f"FAILED after {result['elapsed_seconds']:.1f}s"
         )

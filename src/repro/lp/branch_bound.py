@@ -3,6 +3,9 @@
 Nodes carry only bound arrays; the shared constraint matrices live in the
 root :class:`~repro.lp.standard_form.MatrixForm`.  The search:
 
+* strengthens the root relaxation with implied-bound cuts
+  (:func:`~repro.lp.cuts.implied_bound_pairs`) appended to the node-LP
+  context and re-solved warm through the dual simplex,
 * solves each node's LP relaxation (builtin simplex or HiGHS),
 * prunes by bound against the incumbent,
 * branches on the most fractional integral variable,
@@ -29,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..telemetry import GapPoint, SolveStats, emit_progress, metrics
-from .matrix_lp import RelaxationContext, solve_lp_arrays
+from .cuts import implied_bound_pairs
+from .matrix_lp import ArrayLPResult, RelaxationContext, solve_lp_arrays
 from .problem import Problem
 from .solution import Solution, SolveStatus
 from .standard_form import MatrixForm, to_matrix_form
@@ -39,6 +43,13 @@ INT_TOL = 1e-6
 
 #: Cap on recorded gap-trajectory points (bounds memory on big searches).
 _MAX_TRAJECTORY_POINTS = 1000
+
+#: Rounds of implied-bound separation at the root; each appends the
+#: pairs violated at the last root optimum and re-solves warm.
+_IMPLIED_BOUND_ROUNDS = 8
+
+#: Violation ``x − u`` above which an implied-bound pair is appended.
+_CUT_VIOLATION = 1e-6
 
 
 @dataclass(order=True)
@@ -112,6 +123,48 @@ def _apply_root_cuts(
         form.b_ub = np.concatenate([form.b_ub, extra_b])
         stats.cut_rounds += 1
         stats.cuts_added += len(cuts)
+
+
+def _implied_bound_rounds(
+    context: RelaxationContext,
+    form: MatrixForm,
+    node: _Node,
+    relax: ArrayLPResult,
+    integral: np.ndarray,
+    stats: SolveStats,
+) -> ArrayLPResult:
+    """Cut the optimal root relaxation with implied bounds; return the last.
+
+    Each round appends the pairs violated at the current root optimum
+    (:meth:`RelaxationContext.add_implied_bounds` skips the ones the
+    context already holds) and re-enters the dual simplex from the
+    root's basis bordered with the new slacks.  A re-solve that neither
+    proves optimality nor infeasibility leaves the previous relaxation
+    in place — a valid, weaker bound — with its token extended over the
+    appended rows so the children still start warm.
+    """
+    pairs = implied_bound_pairs(form.a_ub, form.b_ub, integral, form.lb, form.ub)
+    if not pairs.size:
+        return relax
+    for _ in range(_IMPLIED_BOUND_ROUNDS):
+        x = relax.x
+        violated = pairs[x[pairs[:, 0]] - x[pairs[:, 1]] > _CUT_VIOLATION]
+        added = context.add_implied_bounds(violated)
+        if not added.size:
+            break
+        stats.cut_rounds += 1
+        stats.cuts_added += added.shape[0]
+        warm = context.extend_warm_token(relax.warm_token)
+        resolved = context.solve(node.lb, node.ub, warm=warm)
+        _absorb_lp_detail(stats, resolved)
+        if resolved.status not in ("optimal", "infeasible"):
+            relax.warm_token = warm
+            relax.duals = None
+            break
+        relax = resolved
+        if relax.status != "optimal":
+            break
+    return relax
 
 
 def _most_fractional(x: np.ndarray, integral: np.ndarray) -> int | None:
@@ -285,7 +338,8 @@ def solve_branch_and_bound(
         Cut-and-branch: up to this many rounds of knapsack cover cuts
         are separated at the root before branching (0 disables).  Cuts
         are valid for every integer point, so optimality is unaffected —
-        only the search tree shrinks.
+        only the search tree shrinks.  Implied-bound cuts (``x ≤ u`` from
+        big-M rows) are separated at the root whatever this is.
     max_iterations:
         Simplex pivot budget per node relaxation (builtin engine).
     warm_start:
@@ -299,7 +353,9 @@ def solve_branch_and_bound(
         same constraint matrices.  The incremental solve layer passes
         both so successive refinement re-solves skip conversion and
         standardization entirely.  ``context`` is ignored when cover
-        cuts are requested (cuts grow the row set mid-solve).
+        cuts are requested (cuts grow the row set mid-solve).  The root's
+        implied-bound cut rows are appended to ``context`` and stay
+        there: a later solve on it appends only pairs it does not hold.
     basis_io:
         Optional dict used as a warm-state channel between successive
         solves: ``basis_io.get("root")`` seeds the root relaxation's
@@ -309,11 +365,12 @@ def solve_branch_and_bound(
         table across solves, so re-plans of the same model family keep
         their trained branching estimates.
     """
-    if form is None:
-        form = to_matrix_form(problem)
-    integral = form.integrality.astype(bool)
     start = time.monotonic()
     stats = SolveStats(backend=f"branch_bound[{relaxation_engine}]")
+    if form is None:
+        form = to_matrix_form(problem)
+        stats.conversion_seconds += time.monotonic() - start
+    integral = form.integrality.astype(bool)
 
     if cover_cut_rounds > 0 and integral.any():
         _apply_root_cuts(form, integral, relaxation_engine, cover_cut_rounds, stats)
@@ -321,7 +378,9 @@ def solve_branch_and_bound(
 
     # One standardization per tree: every node below reuses the cached
     # constraint blocks and passes only its (lb, ub) deltas.  An external
-    # context (incremental re-solve) skips even that one-time cost.
+    # context (incremental re-solve) skips even that one-time cost, and
+    # reports only what this solve adds to it (root cut appends).
+    conversion_start = 0.0 if context is None else context.conversion_seconds
     if context is None:
         context = RelaxationContext(
             form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
@@ -428,6 +487,7 @@ def solve_branch_and_bound(
     def make_solution(status: SolveStatus, x: np.ndarray | None, message: str) -> Solution:
         stats.elapsed_seconds = time.monotonic() - start
         stats.best_bound = to_user_objective(best_bound)
+        stats.conversion_seconds += context.conversion_seconds - conversion_start
         # Deltas, not lifetime totals: an external context persists
         # across incremental re-solves and keeps accumulating.
         (hits0, misses0, cache0, solves0, dual0, dfall0,
@@ -479,6 +539,10 @@ def solve_branch_and_bound(
         relax = context.solve(node.lb, node.ub, warm=node.warm)
         stats.nodes_explored += 1
         _absorb_lp_detail(stats, relax)
+        if node.depth == 0 and relax.status == "optimal" and integral.any():
+            relax = _implied_bound_rounds(
+                context, form, node, relax, integral, stats
+            )
         if node.depth == 0 and basis_io is not None:
             # Hand the root basis to the next incremental re-solve.
             basis_io["root"] = relax.warm_token

@@ -1,20 +1,30 @@
-"""Knapsack cover cuts for 0-1 capacity rows.
+"""Root cuts for the 0-1 rows of the consolidation MILP.
 
-The consolidation MILP is packed with knapsack rows
-(``Σ a_i x_i ≤ b`` over binaries — the capacity constraints).  A *cover*
-is a subset C with ``Σ_{i∈C} a_i > b``: all of C cannot be chosen, so
+Two families, both valid for every integer point and therefore free to
+append without changing the optimum — only the search tree shrinks.
+
+*Knapsack covers* (opt-in, ``cover_cut_rounds``).  The model is packed
+with knapsack rows (``Σ a_i x_i ≤ b`` over binaries — the capacity
+constraints).  A *cover* is a subset C with ``Σ_{i∈C} a_i > b``: all of
+C cannot be chosen, so
 
 .. math::  Σ_{i∈C} x_i ≤ |C| − 1
 
-is valid for every integer point yet can cut off fractional LP optima.
-This module separates violated cover cuts at a fractional point and is
-used by the branch-and-bound solver as an optional cut-and-branch pass
-at the root node.
+is valid yet can cut off fractional LP optima.  Separation uses the
+classical heuristic: to find a cover whose cut is violated at ``x*``,
+greedily take items in decreasing ``x*`` order until the weights exceed
+the capacity, then minimize the cover (drop items while it stays a
+cover, heaviest-``x*`` kept first).
 
-Separation uses the classical heuristic: to find a cover whose cut is
-violated at ``x*``, greedily take items in decreasing ``x*`` order until
-the weights exceed the capacity, then minimize the cover (drop items
-while it stays a cover, heaviest-``x*`` kept first).
+*Implied bounds* (always on, see :func:`implied_bound_pairs`).  A site
+with a fixed facility cost is linked to its used-binary by one
+aggregated big-M row ``Σ_g S_g X[g,j] − O_j U[j] ≤ 0``, whose
+relaxation lets ``U[j]`` sit at ``load / O_j``.  Disaggregating it into
+``X[g,j] − U[j] ≤ 0`` per placement closes most of that gap.  In
+general: a ``≤`` row with exactly one negative coefficient, on a 0/1
+column ``u``, and every positive-coefficient column bounded below by 0
+forces ``a_x x ≤ b`` whenever ``u = 0``; so each 0/1 column ``x`` with
+``a_x > b`` must be 0 then, which is the cut ``x ≤ u``.
 """
 
 from __future__ import annotations
@@ -157,3 +167,48 @@ def cuts_to_rows(
             a[k, i] = 1.0
         b[k] = cut.rhs
     return a, b
+
+
+def implied_bound_pairs(
+    a_ub: np.ndarray,
+    b_ub: np.ndarray,
+    integral: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+) -> np.ndarray:
+    """All ``(x, u)`` column pairs whose cut ``x − u ≤ 0`` the rows imply.
+
+    A source row has exactly one negative coefficient, on a binary
+    column ``u``, and every positive-coefficient column has ``lb ≥ 0``;
+    it yields one pair per binary positive-coefficient column ``x`` with
+    ``a_x > b``.  With ``u = 0`` the row reads ``Σ a_i x_i ≤ b`` over
+    non-negative terms, so ``a_x x ≤ b < a_x`` and the binary ``x`` is
+    0; with ``u = 1`` the cut is the bound ``x ≤ 1``.  Returns a sorted,
+    duplicate-free ``(k, 2)`` int64 array (rows are scanned as triplets,
+    without a per-row loop).
+    """
+    binary = binary_mask(integral, lb, ub)
+    lb = np.asarray(lb, dtype=float)
+    m = a_ub.shape[0]
+    rows, cols = np.nonzero(a_ub)
+    vals = a_ub[rows, cols]
+    neg = vals < 0.0
+    neg_count = np.bincount(rows[neg], minlength=m)
+    unbounded_pos = np.bincount(rows[~neg & (lb[cols] < -_EPS)], minlength=m)
+    u_of_row = np.zeros(m, dtype=np.int64)
+    u_of_row[rows[neg]] = cols[neg]
+    source = (neg_count == 1) & (unbounded_pos == 0) & binary[u_of_row]
+    take = ~neg & source[rows] & binary[cols] & (vals > b_ub[rows] + _EPS)
+    pairs = np.column_stack([cols[take], u_of_row[rows[take]]]).astype(np.int64)
+    return np.unique(pairs, axis=0)
+
+
+def implied_bound_rows(
+    pairs: np.ndarray, num_columns: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize ``(x, u)`` pairs as ``x − u ≤ 0`` rows (A, b)."""
+    k = pairs.shape[0]
+    a = np.zeros((k, num_columns))
+    a[np.arange(k), pairs[:, 0]] = 1.0
+    a[np.arange(k), pairs[:, 1]] = -1.0
+    return a, np.zeros(k)

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..telemetry import metrics
 from .array_presolve import presolve_arrays
+from .cuts import implied_bound_rows
 from .dual_simplex import solve_bounded_lp_dual
 from .revised_simplex import (
     SparseBoundedLP,
@@ -45,11 +46,13 @@ class ArrayLPResult:
     """LP relaxation outcome at the array level.
 
     The pivot-level counters are only populated by the builtin simplex
-    engine; HiGHS reports a flat iteration count.  ``conversion_seconds``
-    and ``solve_seconds`` split the wall clock between standard-form
-    conversion and actual pivoting.  ``warm_token`` is an opaque value
-    that can be passed back to :meth:`RelaxationContext.solve` as
-    ``warm`` to warm-start a child node from this solve's basis.
+    engine; HiGHS reports a flat iteration count.  ``solve_seconds`` is
+    the pivoting time; ``conversion_seconds`` (presolve and family
+    build) is filled only by the one-shot :func:`solve_lp_arrays`, since
+    a held :class:`RelaxationContext` accumulates its own.
+    ``warm_token`` is an opaque value that can be passed back to
+    :meth:`RelaxationContext.solve` as ``warm`` to warm-start a child
+    node from this solve's basis.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded" | "error"
@@ -201,6 +204,10 @@ class RelaxationContext:
         self.row_extensions = 0
         self.extension_dual_entries = 0
         self._dual_entry_after_extension = False
+        #: ``(x, u)`` pairs whose ``x − u ≤ 0`` cut rows this context
+        #: holds; a context that outlives one tree (the solve cache's)
+        #: must never receive the same cut row twice.
+        self.implied_pairs = np.zeros((0, 2), dtype=np.int64)
 
         self._factor_pool: dict[bytes, np.ndarray] = {}
         self._presolve_infeasible = False
@@ -364,6 +371,25 @@ class RelaxationContext:
             self._dual_entry_after_extension = True
         self._presolve_extension()
         self.conversion_seconds += time.perf_counter() - start
+
+    def add_implied_bounds(self, pairs: np.ndarray) -> np.ndarray:
+        """Append ``x − u ≤ 0`` rows for the pairs not already held.
+
+        Returns the pairs actually appended (possibly none); they join
+        :attr:`implied_pairs` in the same step as their rows, so the
+        memory and the row set cannot drift apart.
+        """
+        n = self.c.shape[0]
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        held = self.implied_pairs
+        if held.size and pairs.size:
+            pairs = pairs[
+                ~np.isin(pairs[:, 0] * n + pairs[:, 1], held[:, 0] * n + held[:, 1])
+            ]
+        if pairs.size:
+            self.extend_rows(*implied_bound_rows(pairs, n))
+            self.implied_pairs = np.concatenate([held, pairs])
+        return pairs
 
     def _presolve_extension(self) -> None:
         """Re-derive bound tightenings now that rows were appended.
@@ -638,4 +664,6 @@ def solve_lp_arrays(
         c, a_ub, b_ub, a_eq, b_eq, lb, ub,
         engine=engine, max_iterations=max_iterations,
     )
-    return context.solve()
+    result = context.solve()
+    result.conversion_seconds = context.conversion_seconds
+    return result

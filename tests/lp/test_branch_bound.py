@@ -109,6 +109,31 @@ class TestSearchStats:
         assert stats.lp_iterations > 0
         assert np.isfinite(stats.best_bound)
 
+    def test_conversion_time_is_reported(self):
+        # Standard-form conversion, presolve and the family build.
+        p, _ = knapsack([5, 4, 3, 2], [10, 40, 30, 50], 10)
+        sol = solve_branch_and_bound(p, relaxation_engine="builtin")
+        assert sol.stats.conversion_seconds > 0.0
+
+    def test_external_context_reports_only_its_per_solve_delta(self):
+        from repro.lp.matrix_lp import RelaxationContext
+        from repro.lp.standard_form import to_matrix_form
+
+        p, _ = knapsack([5, 4, 3, 2], [10, 40, 30, 50], 10)
+        form = to_matrix_form(p)
+        context = RelaxationContext(
+            form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
+            form.lb, form.ub, integrality=form.integrality,
+        )
+        assert context.conversion_seconds > 0.0
+        sol = solve_branch_and_bound(
+            p, relaxation_engine="builtin", form=form, context=context
+        )
+        # A knapsack has no implied-bound rows: nothing is appended, so
+        # the context's one-time set-up is not charged to this solve.
+        assert sol.stats.cuts_added == 0
+        assert sol.stats.conversion_seconds == 0.0
+
     def test_optimal_solve_closes_the_gap(self):
         p, _ = knapsack([3, 4, 2], [4, 5, 3], 6)
         sol = solve_branch_and_bound(p)
