@@ -137,6 +137,15 @@ def bound_arrays(problem: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lb, ub, integrality
 
 
+def scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``out[index[i]] += weights[i]`` for ``i`` in order, from zeros.
+
+    The same sums, in the same order, as ``np.add.at``, at a fraction of
+    its call cost.  (``bincount`` returns integers for empty input.)
+    """
+    return np.bincount(index, weights=weights, minlength=size).astype(float, copy=False)
+
+
 @dataclass
 class CSCMatrix:
     """Minimal numpy-only compressed-sparse-column matrix.
@@ -222,18 +231,12 @@ class CSCMatrix:
         )
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` in O(nnz)."""
-        out = np.zeros(self.shape[0])
-        if self.data.size:
-            np.add.at(out, self.indices, self.data * x[self.nnz_cols])
-        return out
+        """``A @ x`` in O(nnz), accumulated in stored-entry order."""
+        return scatter_add(self.indices, self.data * x[self.nnz_cols], self.shape[0])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """``A.T @ y`` in O(nnz)."""
-        out = np.zeros(self.shape[1])
-        if self.data.size:
-            np.add.at(out, self.nnz_cols, self.data * y[self.indices])
-        return out
+        """``A.T @ y`` in O(nnz), accumulated in stored-entry order."""
+        return scatter_add(self.nnz_cols, self.data * y[self.indices], self.shape[1])
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape)
