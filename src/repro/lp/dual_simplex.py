@@ -13,8 +13,8 @@ Farkas certificate and the solve stops immediately.
 
 Shared machinery: this solver subclasses the primal
 :class:`~repro.lp.revised_simplex._Solver`, reusing the CSC column
-FTRAN/BTRAN kernel, the LU factorization + product-form eta file, and
-the warm-start validation.  What it adds:
+FTRAN/BTRAN kernel, the LU factorization + compact product-form
+updates (one shared pivot update), and the warm-start validation.  What it adds:
 
 * **Devex row pricing.**  The leaving row maximizes
   ``violation^2 / w`` over reference weights updated Forrest–Goldfarb
@@ -53,7 +53,6 @@ from .revised_simplex import (
     FEAS_TOL,
     FREE,
     PIV_TOL,
-    REFACTOR_INTERVAL,
     RevisedResult,
     SparseBoundedLP,
     _Solver,
@@ -77,10 +76,6 @@ class DualResult(RevisedResult):
     """Revised-simplex result plus the dual walk's own counters."""
 
     dual_pivots: int = 0
-    #: Basis inverse matching ``basis`` (optimal exits only — the
-    #: verification refactor leaves the eta file empty, so this is
-    #: exact).  Callers may seed the next warm solve with it.
-    binv: np.ndarray | None = None
 
 
 class _DualSolver(_Solver):
@@ -115,7 +110,7 @@ class _DualSolver(_Solver):
         self.basis = basis.copy()
         self.vstat = vstat.copy()
         self.vstat[self.basis] = BASIC
-        self.etas = []
+        self._k = 0
         hint = self._binv_hint
         if hint is not None and hint.shape == (self.m, self.m):
             # The basis fully determines B, so a pool hit is exact; it is
@@ -315,14 +310,8 @@ class _DualSolver(_Solver):
             self.vstat[p] = AT_UPPER if is_above else AT_LOWER
             self.xval[p] = bound_p
             self.vstat[q] = BASIC
-            self.basis[r] = q
-            g = -alpha / ar
-            g[r] = 1.0 / ar - 1.0
-            self.etas.append((r, g))
-            if len(self.etas) >= REFACTOR_INTERVAL:
-                if not self._refactor():
-                    return "error"
-                self._compute_xb()
+            if not self._update_basis(r, q, alpha):
+                return "error"
 
             # Forrest–Goldfarb devex update over the pivot column.
             ref = w[r] / (ar * ar)
@@ -345,66 +334,39 @@ class _DualSolver(_Solver):
 
     def solve(self) -> DualResult:
         if (self.lower > self.upper + FEAS_TOL).any():
-            return self._dual_result("infeasible")
+            return self._result("infeasible")
         if self.m == 0 or self.warm is None:
             # Nothing for a dual walk to stand on; the caller's primal
             # path handles both cases.
-            return self._dual_result("dual_lost")
+            return self._result("dual_lost")
         if not self._warm_start_dual():
-            return self._dual_result("dual_lost")
+            return self._result("dual_lost")
         self.warm_started = True
         if not self._dual_normalize():
-            return self._dual_result("dual_infeasible")
+            return self._result("dual_infeasible")
         for _attempt in range(4):
             status = self._dual_loop()
             if status != "optimal":
-                return self._dual_result(status)
-            # Accuracy gate, mirroring the primal driver: fold the eta
-            # file into a fresh factorization and re-check both
-            # feasibilities before trusting the optimum.
-            if self.etas:
+                return self._result(status)
+            # Accuracy gate, mirroring the primal driver: fold the
+            # pending updates into a fresh factorization and re-check
+            # both feasibilities before trusting the optimum.
+            if self._k:
                 if not self._refactor():
-                    return self._dual_result("error")
+                    return self._result("error")
                 self._compute_xb()
             viol = np.maximum(
                 self.lower[self.basis] - self.xB, self.xB - self.upper[self.basis]
             )
             if float(viol.max(initial=0.0)) <= 1e-6 and self._dual_violation() <= 1e-6:
-                return self._dual_result("optimal")
-        return self._dual_result("dual_lost")
+                return self._result("optimal")
+        return self._result("dual_lost")
 
-    def _dual_result(self, status: str) -> DualResult:
-        x = None
-        basis = vstat = binv = duals = None
-        objective = np.nan
-        if status == "optimal":
-            self.xval[self.basis] = self.xB
-            x = self.xval[: self.n].copy()
-            np.clip(x, self.lower[: self.n], self.upper[: self.n], out=x)
-            objective = float(self.lp.c @ x)
-            basis = self.basis.copy()
-            vstat = self.vstat.copy()
-            duals = self._btran(self._cvec[self.basis]) if self.m else np.zeros(0)
-            if not self.etas:
-                binv = self.binv
+    def _result(self, status: str, x: np.ndarray | None = None) -> DualResult:
+        res = super()._result(status, x)
         return DualResult(
-            status=status,
-            x=x,
-            objective=objective,
-            iterations=self.iterations,
-            phase2_iterations=self.dual_pivots,
-            bland_switches=self.bland_switches,
-            degenerate_pivots=self.degenerate_pivots,
-            refactorizations=self.refactorizations,
-            eta_file_length=self.eta_file_length,
-            pricing_passes=self.pricing_passes,
-            bound_flips=self.bound_flips,
-            basis=basis,
-            vstat=vstat,
-            duals=duals,
-            warm_started=self.warm_started,
+            **{**vars(res), "phase2_iterations": self.dual_pivots},
             dual_pivots=self.dual_pivots,
-            binv=binv,
         )
 
 

@@ -533,13 +533,15 @@ class RelaxationContext:
                 dual_pivots = dres.dual_pivots
                 self.dual_pivots += dual_pivots
                 metrics.increment("relaxation.dual_pivots", dual_pivots)
-                if dres.binv is not None and dres.basis is not None:
-                    self._remember_factor(dres.basis, dres.binv)
         if result is None:
             result = solve_bounded_lp(
                 self._family, lb, ub,
                 max_iterations=self.max_iterations, warm=warm_pair,
             )
+        if result.binv is not None:
+            # Either engine's verified inverse saves the next dual
+            # re-entry on this basis its entry refactorization.
+            self._remember_factor(result.basis, result.binv)
         solve_elapsed = time.perf_counter() - start
         self.solve_seconds += solve_elapsed
         if warm_pair is not None:

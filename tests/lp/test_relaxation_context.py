@@ -112,6 +112,21 @@ class TestWarmTokens:
         assert again.objective == pytest.approx(root.objective)
         assert ctx.warm_start_hits >= 1
 
+    def test_cold_root_inverse_seeds_the_first_dual_entry(self):
+        # The primal's verified inverse is pooled under the root basis,
+        # so the first dual re-entry on that basis skips its entry
+        # refactorization (and, with no pivots, refactorizes nothing).
+        kw = problem()
+        ctx = RelaxationContext(engine="builtin", **kw)
+        root = ctx.solve()
+        assert root.refactorizations >= 1
+        again = ctx.solve(warm=root.warm_token)
+        assert again.status == "optimal"
+        assert ctx.dual_entries == 1 and ctx.dual_fallbacks == 0
+        assert again.dual_pivots == 0
+        assert again.refactorizations == 0
+        assert again.objective == pytest.approx(root.objective)
+
     def test_changed_bound_pattern_still_warm_starts_revised(self):
         # The revised core's column layout is bound-independent, so the
         # parent basis transfers even when the bound pattern changes.
