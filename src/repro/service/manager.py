@@ -203,13 +203,18 @@ class JobManager:
         simply dispatched again — the restart acceptance path: a job
         submitted to any replica stays retrievable *and completable*
         through the cluster after that replica restarts.
+
+        Jobs that never reached a worker are re-queued first.  A job
+        that was mid-run when the previous incarnation died may be what
+        killed it, and may be long; re-running it first would leave
+        every job queued behind it waiting a second time.
         """
         from .cluster.store import LIVE_STATES
 
         with self._lock:
-            for data in self._store.list(
-                claimed_by=self.replica_id, states=LIVE_STATES
-            ):
+            live = self._store.list(claimed_by=self.replica_id, states=LIVE_STATES)
+            live.sort(key=lambda data: data["state"] != JobState.QUEUED.value)
+            for data in live:
                 if data["id"] in self._jobs:
                     continue
                 record = JobRecord.from_store_dict(data)
