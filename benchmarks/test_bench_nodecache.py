@@ -68,10 +68,11 @@ def test_bench_nodecache_throughput(form, archive):
     nodes = _node_stream(form, n_nodes)
 
     # --- baseline: restandardize from scratch at every node ------------
+    a_ub_dense, a_eq_dense = form.a_ub.to_dense(), form.a_eq.to_dense()
     t0 = time.perf_counter()
     baseline = [
         solve_lp_arrays_reference(
-            form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, lb, ub
+            form.c, a_ub_dense, form.b_ub, a_eq_dense, form.b_eq, lb, ub
         )
         for lb, ub, _ in nodes
     ]

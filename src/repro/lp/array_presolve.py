@@ -4,10 +4,11 @@ The repository's one presolver.  It runs inside every
 :class:`~repro.lp.matrix_lp.RelaxationContext`, which the
 ``branch_bound`` and ``rounding`` backends build.  HiGHS presolves
 inside its own call.  It works directly on the
-``(a_ub, b_ub, a_eq, b_eq, lb, ub)`` arrays that the context and
-:func:`~repro.lp.matrix_lp.solve_lp_arrays` already carry, using the
-:class:`~repro.lp.sparse.CSCMatrix` entry arrays so each round is a
-handful of vectorized scatters — O(nnz), no Python per-row loops.
+``(a_ub, b_ub, a_eq, b_eq, lb, ub)`` data that the context and
+:func:`~repro.lp.matrix_lp.solve_lp_arrays` already carry — ``a_ub``
+and ``a_eq`` are :class:`~repro.lp.sparse.CSCMatrix` blocks, and each
+round is a handful of vectorized scatters over their entry arrays:
+O(nnz), no Python per-row loops.
 
 Reductions (classic and exact):
 
@@ -89,14 +90,6 @@ class _Block:
 
     def __post_init__(self) -> None:
         self.m = self.rhs.shape[0]
-
-
-def _entry_arrays(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
-    """(rows, cols, data, shape) of a dense array or CSCMatrix."""
-    if isinstance(a, CSCMatrix):
-        return a.indices, a.nnz_cols, a.data, a.shape
-    csc = CSCMatrix.from_dense(np.atleast_2d(np.asarray(a, dtype=float)))
-    return csc.indices, csc.nnz_cols, csc.data, csc.shape
 
 
 def _activity(block: _Block, lb: np.ndarray, ub: np.ndarray):
@@ -336,9 +329,9 @@ def _fix_empty_columns(
 
 def presolve_arrays(
     c: np.ndarray,
-    a_ub,
+    a_ub: CSCMatrix,
     b_ub: np.ndarray,
-    a_eq,
+    a_eq: CSCMatrix,
     b_eq: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
@@ -348,9 +341,8 @@ def presolve_arrays(
 ) -> ArrayPresolveResult:
     """Reduce an array-form LP/MILP; exact, bound-box monotone.
 
-    ``a_ub``/``a_eq`` may be dense arrays or :class:`CSCMatrix` views.
     Returns row keep-masks plus tightened bounds; the caller slices its
-    own representation (dense or CSC) with the masks.
+    blocks with :meth:`CSCMatrix.take_rows`.
     """
     c = np.asarray(c, dtype=float)
     lb = np.array(lb, dtype=float, copy=True)
@@ -362,17 +354,12 @@ def presolve_arrays(
 
     blocks: list[_Block] = []
     for a, b, is_eq in ((a_ub, b_ub, False), (a_eq, b_eq, True)):
-        rhs = np.asarray(b, dtype=float) if b is not None else np.zeros(0)
-        if a is not None and rhs.size:
-            rows, cols, data, _shape = _entry_arrays(a)
-        else:
-            rows = cols = np.zeros(0, dtype=np.int64)
-            data = np.zeros(0)
+        rhs = np.asarray(b, dtype=float)
         blocks.append(
             _Block(
-                rows=rows,
-                cols=cols,
-                data=data,
+                rows=a.indices,
+                cols=a.nnz_cols,
+                data=a.data,
                 rhs=rhs,
                 keep=np.ones(rhs.shape[0], dtype=bool),
                 is_eq=is_eq,

@@ -36,6 +36,7 @@ from .cuts import implied_bound_pairs
 from .matrix_lp import ArrayLPResult, RelaxationContext, solve_lp_arrays
 from .problem import Problem
 from .solution import Solution, SolveStatus
+from .sparse import CSCMatrix
 from .standard_form import MatrixForm, to_matrix_form
 
 #: Integrality tolerance: values this close to an integer are integral.
@@ -119,7 +120,7 @@ def _apply_root_cuts(
         if not cuts:
             return
         extra_a, extra_b = cuts_to_rows(cuts, form.a_ub.shape[1])
-        form.a_ub = np.vstack([form.a_ub, extra_a])
+        form.a_ub = CSCMatrix.vstack(form.a_ub, extra_a)
         form.b_ub = np.concatenate([form.b_ub, extra_b])
         stats.cut_rounds += 1
         stats.cuts_added += len(cuts)
@@ -293,9 +294,9 @@ def _warm_start_point(
     x[integral.astype(bool)] = np.round(x[integral.astype(bool)])
     if (x < form.lb - tol).any() or (x > form.ub + tol).any():
         return None
-    if form.a_ub.shape[0] and (form.a_ub @ x > form.b_ub + tol).any():
+    if form.a_ub.shape[0] and (form.a_ub.matvec(x) > form.b_ub + tol).any():
         return None
-    if form.a_eq.shape[0] and (np.abs(form.a_eq @ x - form.b_eq) > tol).any():
+    if form.a_eq.shape[0] and (np.abs(form.a_eq.matvec(x) - form.b_eq) > tol).any():
         return None
     return np.clip(x, form.lb, form.ub)
 

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sparse import CSCMatrix
+
 #: Only cut on rows where every coefficient and variable is knapsack-like.
 _EPS = 1e-9
 
@@ -73,7 +75,7 @@ def binary_mask(
 
 
 def knapsack_rows(
-    a_ub: np.ndarray,
+    a_ub: CSCMatrix,
     b_ub: np.ndarray,
     integral: np.ndarray,
     lb: np.ndarray | None = None,
@@ -87,38 +89,37 @@ def knapsack_rows(
     qualifies.
     """
     binary = binary_mask(integral, lb, ub)
-    rows = []
-    for r in range(a_ub.shape[0]):
-        row = a_ub[r]
-        support = np.nonzero(row)[0]
-        if support.size < 2:
-            continue
-        if b_ub[r] <= _EPS:
-            continue
-        if (row[support] < 0).any():
-            continue
-        if not binary[support].all():
-            continue
-        rows.append(r)
-    return rows
+    rows, cols = a_ub.indices, a_ub.nnz_cols
+    m = a_ub.shape[0]
+    support = np.bincount(rows, minlength=m)
+    spoiled = np.bincount(
+        rows[(a_ub.data < 0) | ~binary[cols]], minlength=m
+    )
+    usable = (support >= 2) & (np.asarray(b_ub) > _EPS) & (spoiled == 0)
+    return np.flatnonzero(usable).tolist()
 
 
 def separate_cover_cut(
-    row: np.ndarray,
+    support: np.ndarray,
+    weights: np.ndarray,
     rhs: float,
     x: np.ndarray,
     row_index: int,
     min_violation: float = 1e-4,
 ) -> CoverCut | None:
-    """Find one violated, minimal cover cut for a knapsack row, if any."""
-    support = np.nonzero(row)[0]
+    """Find one violated, minimal cover cut for a knapsack row, if any.
+
+    The row is its entry arrays: ``support`` holds its column ids in
+    ascending order and ``weights`` their coefficients.
+    """
+    weight_of = {int(i): float(w) for i, w in zip(support, weights)}
     # Greedy: order by fractional value (desc), then weight (desc).
-    order = sorted(support, key=lambda i: (-x[i], -row[i]))
+    order = sorted(weight_of, key=lambda i: (-x[i], -weight_of[i]))
     cover: list[int] = []
     weight = 0.0
     for i in order:
-        cover.append(int(i))
-        weight += float(row[i])
+        cover.append(i)
+        weight += weight_of[i]
         if weight > rhs + _EPS:
             break
     else:
@@ -128,9 +129,9 @@ def separate_cover_cut(
     cover.sort(key=lambda i: x[i])
     trimmed = list(cover)
     for i in list(cover):
-        if weight - row[i] > rhs + _EPS:
+        if weight - weight_of[i] > rhs + _EPS:
             trimmed.remove(i)
-            weight -= float(row[i])
+            weight -= weight_of[i]
     cut = CoverCut(row=row_index, members=tuple(sorted(trimmed)))
     if cut.violation(x) < min_violation:
         return None
@@ -138,7 +139,7 @@ def separate_cover_cut(
 
 
 def separate_cuts(
-    a_ub: np.ndarray,
+    a_ub: CSCMatrix,
     b_ub: np.ndarray,
     x: np.ndarray,
     integral: np.ndarray,
@@ -147,9 +148,16 @@ def separate_cuts(
     ub: np.ndarray | None = None,
 ) -> list[CoverCut]:
     """Separate violated cover cuts at a fractional point, best first."""
+    # Entries grouped by row; the stable sort keeps columns ascending.
+    by_row = np.argsort(a_ub.indices, kind="stable")
+    row_ptr = np.zeros(a_ub.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a_ub.indices, minlength=a_ub.shape[0]), out=row_ptr[1:])
     cuts: list[CoverCut] = []
     for r in knapsack_rows(a_ub, b_ub, integral, lb, ub):
-        cut = separate_cover_cut(a_ub[r], float(b_ub[r]), x, r)
+        ent = by_row[row_ptr[r]:row_ptr[r + 1]]
+        cut = separate_cover_cut(
+            a_ub.nnz_cols[ent], a_ub.data[ent], float(b_ub[r]), x, r
+        )
         if cut is not None:
             cuts.append(cut)
     cuts.sort(key=lambda c: -c.violation(x))
@@ -158,19 +166,18 @@ def separate_cuts(
 
 def cuts_to_rows(
     cuts: list[CoverCut], num_columns: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[CSCMatrix, np.ndarray]:
     """Materialize cuts as (A, b) rows for appending to A_ub/b_ub."""
-    a = np.zeros((len(cuts), num_columns))
-    b = np.zeros(len(cuts))
-    for k, cut in enumerate(cuts):
-        for i in cut.members:
-            a[k, i] = 1.0
-        b[k] = cut.rhs
-    return a, b
+    rows = [k for k, cut in enumerate(cuts) for _ in cut.members]
+    cols = [i for cut in cuts for i in cut.members]
+    a = CSCMatrix.from_triplets(
+        rows, cols, np.ones(len(cols)), (len(cuts), num_columns)
+    )
+    return a, np.array([float(cut.rhs) for cut in cuts])
 
 
 def implied_bound_pairs(
-    a_ub: np.ndarray,
+    a_ub: CSCMatrix,
     b_ub: np.ndarray,
     integral: np.ndarray,
     lb: np.ndarray,
@@ -184,14 +191,13 @@ def implied_bound_pairs(
     ``a_x > b``.  With ``u = 0`` the row reads ``Σ a_i x_i ≤ b`` over
     non-negative terms, so ``a_x x ≤ b < a_x`` and the binary ``x`` is
     0; with ``u = 1`` the cut is the bound ``x ≤ 1``.  Returns a sorted,
-    duplicate-free ``(k, 2)`` int64 array (rows are scanned as triplets,
-    without a per-row loop).
+    duplicate-free ``(k, 2)`` int64 array (the stored entries are
+    scanned as triplets, without a per-row loop).
     """
     binary = binary_mask(integral, lb, ub)
     lb = np.asarray(lb, dtype=float)
     m = a_ub.shape[0]
-    rows, cols = np.nonzero(a_ub)
-    vals = a_ub[rows, cols]
+    rows, cols, vals = a_ub.indices, a_ub.nnz_cols, a_ub.data
     neg = vals < 0.0
     neg_count = np.bincount(rows[neg], minlength=m)
     unbounded_pos = np.bincount(rows[~neg & (lb[cols] < -_EPS)], minlength=m)
@@ -205,10 +211,13 @@ def implied_bound_pairs(
 
 def implied_bound_rows(
     pairs: np.ndarray, num_columns: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[CSCMatrix, np.ndarray]:
     """Materialize ``(x, u)`` pairs as ``x − u ≤ 0`` rows (A, b)."""
     k = pairs.shape[0]
-    a = np.zeros((k, num_columns))
-    a[np.arange(k), pairs[:, 0]] = 1.0
-    a[np.arange(k), pairs[:, 1]] = -1.0
+    a = CSCMatrix.from_triplets(
+        np.tile(np.arange(k), 2),
+        np.concatenate([pairs[:, 0], pairs[:, 1]]),
+        np.repeat([1.0, -1.0], k),
+        (k, num_columns),
+    )
     return a, np.zeros(k)

@@ -35,6 +35,7 @@ from .revised_simplex import (
     extend_warm_pair,
     solve_bounded_lp,
 )
+from .sparse import CSCMatrix
 
 #: Basis inverses remembered per context (keyed by the basis itself, so
 #: a hit is exact); bounds the pool's memory at ~48 m x m arrays.
@@ -73,30 +74,40 @@ class ArrayLPResult:
     solve_seconds: float = 0.0
     warm_started: bool = False
     warm_token: tuple | None = None
-    #: Row duals at optimality (``a_ub`` rows first, then ``a_eq``; the
-    #: min-problem convention, ``y_i <= 0`` on binding ``<=`` rows).
-    #: Populated by both the builtin revised/dual engines and HiGHS.
+    #: Row duals at optimality, in the min-problem convention
+    #: (``y_i <= 0`` on binding ``<=`` rows).  Populated by both engines,
+    #: in each engine's own row order: HiGHS reports every ``a_ub`` row
+    #: (rows appended by :meth:`RelaxationContext.extend_rows`
+    #: included) and then ``a_eq``; the builtin family reports the
+    #: original ``a_ub`` rows, then ``a_eq``, then the appended rows.
+    #: The two orders differ only after an append.
     duals: np.ndarray | None = None
 
 
 def _solve_highs_arrays(
     c: np.ndarray,
-    a_ub: np.ndarray,
+    a_ub: CSCMatrix,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq: CSCMatrix,
     b_eq: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
 ) -> ArrayLPResult:
     """One linprog/HiGHS call with the library's status mapping."""
     from scipy.optimize import linprog
+    from scipy.sparse import csc_matrix
+
+    def scipy_block(a: CSCMatrix):
+        if not a.shape[0]:
+            return None
+        return csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
     start = time.perf_counter()
     res = linprog(
         c,
-        A_ub=a_ub if a_ub.size else None,
+        A_ub=scipy_block(a_ub),
         b_ub=b_ub if b_ub.size else None,
-        A_eq=a_eq if a_eq.size else None,
+        A_eq=scipy_block(a_eq),
         b_eq=b_eq if b_eq.size else None,
         bounds=np.column_stack([lb, ub]),
         method="highs",
@@ -110,9 +121,9 @@ def _solve_highs_arrays(
         if ineq is not None and eq is not None:
             duals = np.concatenate([
                 np.atleast_1d(np.asarray(ineq.marginals, dtype=float))
-                if a_ub.size else np.zeros(0),
+                if a_ub.shape[0] else np.zeros(0),
                 np.atleast_1d(np.asarray(eq.marginals, dtype=float))
-                if a_eq.size else np.zeros(0),
+                if a_eq.shape[0] else np.zeros(0),
             ])
         return ArrayLPResult(
             "optimal", res.x, float(res.fun), nit, solve_seconds=elapsed,
@@ -160,9 +171,9 @@ class RelaxationContext:
     def __init__(
         self,
         c: np.ndarray,
-        a_ub: np.ndarray,
+        a_ub: CSCMatrix,
         b_ub: np.ndarray,
-        a_eq: np.ndarray,
+        a_eq: CSCMatrix,
         b_eq: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
@@ -173,9 +184,9 @@ class RelaxationContext:
         self.engine = engine  # "builtin" or "highs"; checked by solve()
         self.max_iterations = max_iterations
         self.c = np.asarray(c, dtype=float)
-        self.a_ub = np.asarray(a_ub, dtype=float)
+        self.a_ub = a_ub
         self.b_ub = np.asarray(b_ub, dtype=float)
-        self.a_eq = np.asarray(a_eq, dtype=float)
+        self.a_eq = a_eq
         self.b_eq = np.asarray(b_eq, dtype=float)
         self.root_lb = np.array(lb, dtype=float, copy=True)
         self.root_ub = np.array(ub, dtype=float, copy=True)
@@ -263,10 +274,10 @@ class RelaxationContext:
         self._keep_ub = pre.keep_ub
         self._keep_eq = pre.keep_eq
         if not pre.keep_ub.all():
-            self._eff_a_ub = self.a_ub[pre.keep_ub]
+            self._eff_a_ub = self.a_ub.take_rows(pre.keep_ub)
             self._eff_b_ub = self.b_ub[pre.keep_ub]
         if not pre.keep_eq.all():
-            self._eff_a_eq = self.a_eq[pre.keep_eq]
+            self._eff_a_eq = self.a_eq.take_rows(pre.keep_eq)
             self._eff_b_eq = self.b_eq[pre.keep_eq]
         self._eff_lb, self._eff_ub = pre.lb, pre.ub
 
@@ -317,7 +328,7 @@ class RelaxationContext:
 
     # -- in-place structural extension (appended rows, objective swap) -----
 
-    def extend_rows(self, a_new: np.ndarray, b_new: np.ndarray) -> None:
+    def extend_rows(self, a_new: CSCMatrix, b_new: np.ndarray) -> None:
         """Append ``<=`` rows to the cached family in place.
 
         The warm-path escape from full context rebuilds: every
@@ -329,22 +340,20 @@ class RelaxationContext:
         their extended bases via the bordered identity (one ``k × m``
         matmul each) instead of being discarded.
         """
-        n = self.c.shape[0]
-        a_new = np.asarray(a_new, dtype=float).reshape(-1, n)
-        b_new = np.asarray(b_new, dtype=float).reshape(a_new.shape[0])
         k = a_new.shape[0]
+        b_new = np.asarray(b_new, dtype=float).reshape(k)
         if k == 0:
             return
         start = time.perf_counter()
         was_alias = self._eff_a_ub is self.a_ub
-        self.a_ub = np.vstack([self.a_ub, a_new])
+        self.a_ub = CSCMatrix.vstack(self.a_ub, a_new)
         self.b_ub = np.concatenate([self.b_ub, b_new])
         if self._keep_ub is not None:
             self._keep_ub = np.concatenate([self._keep_ub, np.ones(k, dtype=bool)])
         if was_alias:
             self._eff_a_ub, self._eff_b_ub = self.a_ub, self.b_ub
         else:
-            self._eff_a_ub = np.vstack([self._eff_a_ub, a_new])
+            self._eff_a_ub = CSCMatrix.vstack(self._eff_a_ub, a_new)
             self._eff_b_ub = np.concatenate([self._eff_b_ub, b_new])
         self.row_extensions += 1
         metrics.increment("relaxation.row_extensions")
@@ -427,11 +436,14 @@ class RelaxationContext:
     def reduced_costs(self, duals: np.ndarray | None) -> np.ndarray | None:
         """Structural reduced costs ``c - Aᵀy`` for one solve's row duals.
 
-        ``duals`` follows :attr:`ArrayLPResult.duals`: the *effective*
-        (post-presolve) ``a_ub`` rows first, then ``a_eq``.  Returns
-        ``None`` when no duals were reported or their length does not
-        match the current effective row set (e.g. a token from before a
-        re-root).
+        ``duals`` is split as the *effective* (post-presolve) ``a_ub``
+        rows first, appended rows included, then ``a_eq``.  That is the
+        HiGHS engine's order (:attr:`ArrayLPResult.duals`).  The builtin
+        family reports appended rows *after* ``a_eq``, so after an
+        append its reduced costs come out misaligned here whenever the
+        context has equality rows — a known defect.  Returns ``None``
+        when no duals were reported or their length does not match the
+        current effective row set (e.g. a token from before a re-root).
         """
         if duals is None:
             return None
@@ -442,9 +454,9 @@ class RelaxationContext:
             return None
         d = self.c.copy()
         if m_ub:
-            d -= self._eff_a_ub.T @ duals[:m_ub]
+            d -= self._eff_a_ub.rmatvec(duals[:m_ub])
         if m_eq:
-            d -= self._eff_a_eq.T @ duals[m_ub:]
+            d -= self._eff_a_eq.rmatvec(duals[m_ub:])
         return d
 
     def set_objective_vector(self, c_new: np.ndarray) -> bool:
@@ -644,9 +656,9 @@ class RelaxationContext:
 
 def solve_lp_arrays(
     c: np.ndarray,
-    a_ub: np.ndarray,
+    a_ub: CSCMatrix,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq: CSCMatrix,
     b_eq: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,

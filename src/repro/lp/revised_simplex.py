@@ -86,11 +86,11 @@ class RevisedResult:
     basis: np.ndarray | None = None
     #: Per-column status vector (AT_LOWER/AT_UPPER/FREE/BASIC).
     vstat: np.ndarray | None = None
-    #: Row duals ``y = c_B B^{-1}`` at optimality (``a_ub`` rows first,
-    #: then ``a_eq`` rows).  Sign convention of the min problem: a
-    #: binding ``<=`` row carries ``y_i <= 0``, so the reduced cost of a
-    #: structural column is ``c_j - y . a_j``.  ``None`` on non-optimal
-    #: exits.
+    #: Row duals ``y = c_B B^{-1}`` at optimality, in the family's row
+    #: order: ``a_ub``, ``a_eq``, then rows added by ``append_le_rows``.
+    #: Sign convention of the min problem: a binding ``<=`` row carries
+    #: ``y_i <= 0``, so the reduced cost of a structural column is
+    #: ``c_j - y . a_j``.  ``None`` on non-optimal exits.
     duals: np.ndarray | None = None
     #: Basis inverse matching ``basis`` (optimal exits only — the
     #: accuracy gate's refactorization leaves no pending updates, so it
@@ -112,25 +112,21 @@ class SparseBoundedLP:
     def __init__(
         self,
         c: np.ndarray,
-        a_ub: np.ndarray | CSCMatrix,
+        a_ub: CSCMatrix,
         b_ub: np.ndarray,
-        a_eq: np.ndarray | CSCMatrix,
+        a_eq: CSCMatrix,
         b_eq: np.ndarray,
     ) -> None:
         self.c = np.asarray(c, dtype=float)
         self.n = self.c.shape[0]
-        if not isinstance(a_ub, CSCMatrix):
-            a_ub = CSCMatrix.from_dense(np.asarray(a_ub, dtype=float).reshape(-1, self.n))
-        if not isinstance(a_eq, CSCMatrix):
-            a_eq = CSCMatrix.from_dense(np.asarray(a_eq, dtype=float).reshape(-1, self.n))
         m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
         self.m = m_ub + m_eq
         self.b = np.concatenate([np.asarray(b_ub, float), np.asarray(b_eq, float)])
         self.slack_lb = np.zeros(self.m)
         self.slack_ub = np.concatenate([np.full(m_ub, np.inf), np.zeros(m_eq)])
-        self.a = _vstack_csc(a_ub, a_eq, self.n)
+        self.a = CSCMatrix.vstack(a_ub, a_eq)
 
-    def append_le_rows(self, a_new: np.ndarray | CSCMatrix, b_new: np.ndarray) -> None:
+    def append_le_rows(self, a_new: CSCMatrix, b_new: np.ndarray) -> None:
         """Append ``<=`` rows in place, below every existing row.
 
         Appending at the *bottom* of the stack keeps every existing
@@ -142,10 +138,6 @@ class SparseBoundedLP:
         upstream, and an ``=`` append would splice into the middle of
         the slack-bound stack, invalidating old tokens.
         """
-        if not isinstance(a_new, CSCMatrix):
-            a_new = CSCMatrix.from_dense(
-                np.asarray(a_new, dtype=float).reshape(-1, self.n)
-            )
         if a_new.shape[1] != self.n:
             raise ValueError("appended rows must span the family's columns")
         k = a_new.shape[0]
@@ -153,27 +145,8 @@ class SparseBoundedLP:
         self.b = np.concatenate([self.b, b_new])
         self.slack_lb = np.concatenate([self.slack_lb, np.zeros(k)])
         self.slack_ub = np.concatenate([self.slack_ub, np.full(k, np.inf)])
-        self.a = _vstack_csc(self.a, a_new, self.n)
+        self.a = CSCMatrix.vstack(self.a, a_new)
         self.m += k
-
-
-def _vstack_csc(top: CSCMatrix, bottom: CSCMatrix, ncols: int) -> CSCMatrix:
-    """Stack two CSC blocks row-wise (bottom rows offset by top height)."""
-    if bottom.shape[0] == 0:
-        return top
-    if top.shape[0] == 0:
-        return bottom
-    cols = np.concatenate([top.nnz_cols, bottom.nnz_cols])
-    # Stable: within each column the top block's entries stay first.
-    order = np.argsort(cols, kind="stable")
-    indptr = np.zeros(ncols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
-    return CSCMatrix(
-        shape=(top.shape[0] + bottom.shape[0], ncols),
-        indptr=indptr,
-        indices=np.concatenate([top.indices, bottom.indices + top.shape[0]])[order],
-        data=np.concatenate([top.data, bottom.data])[order],
-    )
 
 
 def _column_entries(a: CSCMatrix, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

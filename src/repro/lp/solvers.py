@@ -53,7 +53,7 @@ from .options import SolveOptions
 from .problem import Problem
 from .rounding import solve_with_rounding
 from .solution import Solution
-from .sparse import objective_arrays
+from .sparse import CSCMatrix, constraint_blocks, objective_arrays
 from .standard_form import to_matrix_form
 
 
@@ -468,24 +468,13 @@ class SolveCache:
 
         context, form = self._context, self._form
         if appended:
-            k, n = len(appended), len(variables)
-            a_app = np.zeros((k, n))
-            b_app = np.empty(k)
-            app_digests = []
-            for r, con in enumerate(appended):
-                rhs = float(con.rhs)
-                for var, coef in con.expr.terms().items():
-                    a_app[r, var_index[var]] += coef
-                if con.sense.value == ">=":
-                    a_app[r] *= -1.0
-                    rhs = -rhs
-                b_app[r] = rhs
-                app_digests.append(constraint_digest(con))
+            a_app, b_app, _, _ = constraint_blocks(problem, appended).split_by_sense()
+            app_digests = [constraint_digest(con) for con in appended]
             context.extend_rows(a_app, b_app)
             # The form mirrors the cold convention (appended non-EQ rows
             # land at the end of a_ub), so incumbent-hint validation and
             # objective evaluation see exactly what a rebuild would.
-            form.a_ub = np.vstack([form.a_ub, a_app])
+            form.a_ub = CSCMatrix.vstack(form.a_ub, a_app)
             form.b_ub = np.concatenate([form.b_ub, b_app])
             ctx_rows.extend(appended)
             digests.extend(app_digests)

@@ -1,11 +1,7 @@
 """Shared sparse constraint assembly for every matrix consumer.
 
-Historically each matrix consumer walked ``problem.constraints`` on its
-own: :func:`~repro.lp.standard_form.to_matrix_form` built dense
-``a_ub``/``a_eq`` blocks, the HiGHS backend kept a private
-``_build_sparse``, and the fingerprint layer re-traversed the expression
-dicts a third time.  This module is the single assembly path they all
-share:
+This module is the single path from a model to its constraint matrix;
+no consumer walks ``problem.constraints`` on its own:
 
 * :func:`iter_constraint_terms` — the canonical row traversal (one
   ``(constraint, [(col, var, coef), ...])`` pair per row, in model
@@ -13,12 +9,15 @@ share:
   solution-cache identity can no longer drift from what the solvers
   actually see.
 * :func:`constraint_blocks` — CSR-style triplets plus senses/rhs, the
-  form the HiGHS backend wraps into ``scipy.sparse`` and from which
-  :func:`~repro.lp.standard_form.to_matrix_form` derives its dense view.
+  form the HiGHS backend wraps into ``scipy.sparse``;
+  :meth:`ConstraintBlocks.split_by_sense` turns them into the CSC
+  ``a_ub``/``a_eq`` blocks of :func:`~repro.lp.standard_form.to_matrix_form`
+  and of the rows a solve cache appends to a live context.
 * :class:`CSCMatrix` — a minimal numpy-only compressed-sparse-column
-  matrix used by the revised simplex core (column FTRANs and
-  ``A^T y`` pricing need column-major access and must work without
-  scipy).
+  matrix, the one matrix type between the model and the LP engines
+  (column FTRANs and ``A^T y`` pricing need column-major access and
+  must work without scipy).  ``from_dense``/``to_dense`` adapt callers
+  that hold dense data; no solve path uses them.
 """
 
 from __future__ import annotations
@@ -31,17 +30,18 @@ from .expressions import Sense, Variable
 from .problem import ObjectiveSense, Problem
 
 
-def iter_constraint_terms(problem: Problem):
+def iter_constraint_terms(problem: Problem, constraints=None):
     """Yield ``(constraint, [(col, var, coef), ...])`` per row, in order.
 
     The canonical traversal of the constraint matrix: columns are the
     variables' registration order, entries follow each expression's term
-    order.  Every consumer of the matrix (dense view, scipy wrapper,
+    order.  Every consumer of the matrix (CSC blocks, scipy wrapper,
     revised core, fingerprints) iterates through here, so they cannot
-    disagree about what the model says.
+    disagree about what the model says.  ``constraints`` (default: all
+    of the problem's) restricts the walk to those rows.
     """
     index = {var: i for i, var in enumerate(problem.variables)}
-    for con in problem.constraints:
+    for con in problem.constraints if constraints is None else constraints:
         yield con, [
             (index[var], var, coef) for var, coef in con.expr.terms().items()
         ]
@@ -78,21 +78,39 @@ class ConstraintBlocks:
                 lower[r] = upper[r] = self.rhs[r]
         return lower, upper
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_rows, self.n_cols))
-        dense[self.rows, self.cols] = self.data
-        return dense
+    def split_by_sense(self) -> tuple[CSCMatrix, np.ndarray, CSCMatrix, np.ndarray]:
+        """``(a_ub, b_ub, a_eq, b_eq)``: the rows as CSC blocks, by sense.
+
+        ``a_ub`` keeps the LE/GE rows in model order, GE rows negated
+        into LE form; ``a_eq`` keeps the EQ rows in model order.
+        """
+        is_eq = np.fromiter(
+            (s is Sense.EQ for s in self.senses), dtype=bool, count=self.n_rows
+        )
+        is_ge = np.fromiter(
+            (s is Sense.GE for s in self.senses), dtype=bool, count=self.n_rows
+        )
+        data = np.where(is_ge[self.rows], -self.data, self.data)
+        rhs = np.where(is_ge, -self.rhs, self.rhs)
+        a = CSCMatrix.from_triplets(
+            self.rows, self.cols, data, (self.n_rows, self.n_cols)
+        )
+        return a.take_rows(~is_eq), rhs[~is_eq], a.take_rows(is_eq), rhs[is_eq]
 
 
-def constraint_blocks(problem: Problem) -> ConstraintBlocks:
-    """Assemble the constraint matrix sparsely, one traversal, no dense step."""
+def constraint_blocks(problem: Problem, constraints=None) -> ConstraintBlocks:
+    """Assemble the constraint matrix sparsely, one traversal, no dense step.
+
+    ``constraints`` (default: all of the problem's) assembles just those
+    rows, e.g. the ones appended to a model since its last build.
+    """
     variables = problem.variables
     cols: list[int] = []
     data: list[float] = []
     row_ptr: list[int] = [0]
     senses: list[Sense] = []
     rhs: list[float] = []
-    for con, terms in iter_constraint_terms(problem):
+    for con, terms in iter_constraint_terms(problem, constraints):
         for col, _var, coef in terms:
             cols.append(col)
             data.append(coef)
@@ -150,10 +168,10 @@ def scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray
 class CSCMatrix:
     """Minimal numpy-only compressed-sparse-column matrix.
 
-    Just enough for the revised simplex core: column slicing (FTRAN of
-    one entering column), ``A @ x`` (rhs assembly) and ``A^T y``
-    (pricing), all vectorized.  Not a general sparse library — use
-    ``scipy.sparse`` where scipy is guaranteed.
+    Just enough for the LP layer: column slicing (FTRAN of one entering
+    column), ``A @ x`` (rhs assembly), ``A^T y`` (pricing), row
+    selection and row stacking, all vectorized.  Not a general sparse
+    library.
     """
 
     shape: tuple[int, int]
@@ -166,32 +184,54 @@ class CSCMatrix:
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSCMatrix":
         dense = np.asarray(dense, dtype=float)
-        m, n = dense.shape
-        # nonzero on the transpose walks column-major over ``dense``,
-        # which is exactly CSC entry order.
-        col_ids, row_ids = np.nonzero(dense.T)
-        counts = np.bincount(col_ids, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(
-            shape=(m, n),
-            indptr=indptr,
-            indices=row_ids.astype(np.int64),
-            data=dense[row_ids, col_ids].astype(float),
-        )
+        rows, cols = np.nonzero(dense)
+        return cls.from_triplets(rows, cols, dense[rows, cols], dense.shape)
 
     @classmethod
-    def from_blocks(cls, blocks: ConstraintBlocks) -> "CSCMatrix":
-        """Column-major view of CSR-style :class:`ConstraintBlocks`."""
-        order = np.lexsort((blocks.rows, blocks.cols))
-        counts = np.bincount(blocks.cols, minlength=blocks.n_cols)
-        indptr = np.zeros(blocks.n_cols + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+    def from_triplets(
+        cls,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        data: np.ndarray,
+        shape: tuple[int, int],
+    ) -> "CSCMatrix":
+        """CSC of ``(row, col, value)`` triplets, one per stored entry.
+
+        Entries are ordered by column, then row, as :meth:`from_dense`
+        orders them; triplets must not repeat a ``(row, col)`` pair.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        order = np.lexsort((rows, cols))
+        indptr = np.zeros(shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
         return cls(
-            shape=(blocks.n_rows, blocks.n_cols),
+            shape=(int(shape[0]), int(shape[1])),
             indptr=indptr,
-            indices=blocks.rows[order],
-            data=blocks.data[order],
+            indices=rows[order],
+            data=np.asarray(data, dtype=float)[order],
+        )
+
+    @staticmethod
+    def vstack(top: "CSCMatrix", bottom: "CSCMatrix") -> "CSCMatrix":
+        """Stack two blocks row-wise (bottom rows offset by top height)."""
+        ncols = top.shape[1]
+        if bottom.shape[1] != ncols:
+            raise ValueError("stacked blocks must span the same columns")
+        if bottom.shape[0] == 0:
+            return top
+        if top.shape[0] == 0:
+            return bottom
+        cols = np.concatenate([top.nnz_cols, bottom.nnz_cols])
+        # Stable: within each column the top block's entries stay first.
+        order = np.argsort(cols, kind="stable")
+        indptr = np.zeros(ncols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+        return CSCMatrix(
+            shape=(top.shape[0] + bottom.shape[0], ncols),
+            indptr=indptr,
+            indices=np.concatenate([top.indices, bottom.indices + top.shape[0]])[order],
+            data=np.concatenate([top.data, bottom.data])[order],
         )
 
     @property
@@ -214,8 +254,8 @@ class CSCMatrix:
     def take_rows(self, keep: np.ndarray) -> "CSCMatrix":
         """Submatrix of the rows where ``keep`` is True, renumbered densely.
 
-        Used by the array presolve to retire redundant/singleton rows
-        without ever materializing a dense intermediate.
+        Used to split the model's rows by sense and to retire the rows
+        the array presolve drops, without a dense intermediate.
         """
         keep = np.asarray(keep, dtype=bool)
         new_row = np.cumsum(keep) - 1  # old row id -> new row id

@@ -16,7 +16,7 @@ from repro.lp.array_presolve import presolve_arrays
 from repro.lp.matrix_lp import solve_lp_arrays
 from repro.lp.sparse import CSCMatrix
 
-NO_EQ = dict(a_eq=np.zeros((0, 2)), b_eq=np.zeros(0))
+NO_EQ = dict(a_eq=CSCMatrix.from_dense(np.zeros((0, 2))), b_eq=np.zeros(0))
 
 
 class TestSingletonRows:
@@ -24,7 +24,7 @@ class TestSingletonRows:
         # 2x <= 4 is the bound x <= 2; the row must vanish.
         res = presolve_arrays(
             c=np.array([-1.0, 0.0]),
-            a_ub=np.array([[2.0, 0.0]]), b_ub=np.array([4.0]),
+            a_ub=CSCMatrix.from_dense([[2.0, 0.0]]), b_ub=np.array([4.0]),
             lb=np.zeros(2), ub=np.full(2, 10.0), **NO_EQ,
         )
         assert not res.infeasible
@@ -36,7 +36,7 @@ class TestSingletonRows:
         # -3x <= -6 is the bound x >= 2.
         res = presolve_arrays(
             c=np.array([1.0, 0.0]),
-            a_ub=np.array([[-3.0, 0.0]]), b_ub=np.array([-6.0]),
+            a_ub=CSCMatrix.from_dense([[-3.0, 0.0]]), b_ub=np.array([-6.0]),
             lb=np.zeros(2), ub=np.full(2, 10.0), **NO_EQ,
         )
         assert not res.infeasible
@@ -45,8 +45,8 @@ class TestSingletonRows:
     def test_eq_singleton_fixes_the_column(self):
         res = presolve_arrays(
             c=np.array([1.0, 1.0]),
-            a_ub=np.zeros((0, 2)), b_ub=np.zeros(0),
-            a_eq=np.array([[0.0, 2.0]]), b_eq=np.array([3.0]),
+            a_ub=CSCMatrix.from_dense(np.zeros((0, 2))), b_ub=np.zeros(0),
+            a_eq=CSCMatrix.from_dense([[0.0, 2.0]]), b_eq=np.array([3.0]),
             lb=np.zeros(2), ub=np.full(2, 10.0),
         )
         assert not res.infeasible
@@ -57,8 +57,8 @@ class TestSingletonRows:
     def test_eq_singleton_outside_bounds_is_infeasible(self):
         res = presolve_arrays(
             c=np.array([1.0, 1.0]),
-            a_ub=np.zeros((0, 2)), b_ub=np.zeros(0),
-            a_eq=np.array([[2.0, 0.0]]), b_eq=np.array([30.0]),
+            a_ub=CSCMatrix.from_dense(np.zeros((0, 2))), b_ub=np.zeros(0),
+            a_eq=CSCMatrix.from_dense([[2.0, 0.0]]), b_eq=np.array([30.0]),
             lb=np.zeros(2), ub=np.full(2, 10.0),
         )
         assert res.infeasible
@@ -69,7 +69,7 @@ class TestRedundantRowsAndTightening:
         # With x, y in [0, 1], x + y <= 5 can never bind.
         res = presolve_arrays(
             c=np.array([-1.0, -1.0]),
-            a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([5.0]),
+            a_ub=CSCMatrix.from_dense([[1.0, 1.0]]), b_ub=np.array([5.0]),
             lb=np.zeros(2), ub=np.ones(2), **NO_EQ,
         )
         assert not res.keep_ub[0]
@@ -79,7 +79,7 @@ class TestRedundantRowsAndTightening:
         # x + y <= 1 with y >= 0 forces x <= 1 (from ub=10).
         res = presolve_arrays(
             c=np.array([-1.0, -1.0]),
-            a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]),
+            a_ub=CSCMatrix.from_dense([[1.0, 1.0]]), b_ub=np.array([1.0]),
             lb=np.zeros(2), ub=np.full(2, 10.0), **NO_EQ,
         )
         assert res.ub[0] == pytest.approx(1.0)
@@ -90,7 +90,7 @@ class TestRedundantRowsAndTightening:
         # x + y <= 1 with both lower bounds at 1: min activity 2 > 1.
         res = presolve_arrays(
             c=np.array([1.0, 1.0]),
-            a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]),
+            a_ub=CSCMatrix.from_dense([[1.0, 1.0]]), b_ub=np.array([1.0]),
             lb=np.ones(2), ub=np.full(2, 10.0), **NO_EQ,
         )
         assert res.infeasible
@@ -99,7 +99,7 @@ class TestRedundantRowsAndTightening:
         # 3x <= 4 tightens integral x to ub=1 (floor of 4/3).
         res = presolve_arrays(
             c=np.array([-1.0, 0.0]),
-            a_ub=np.array([[3.0, 0.0]]), b_ub=np.array([4.0]),
+            a_ub=CSCMatrix.from_dense([[3.0, 0.0]]), b_ub=np.array([4.0]),
             lb=np.zeros(2), ub=np.full(2, 10.0), **NO_EQ,
             integrality=np.array([1, 0]),
         )
@@ -116,7 +116,7 @@ class TestRedundantRowsAndTightening:
     def test_no_reduction_is_reported(self):
         res = presolve_arrays(
             c=np.array([1.0, 1.0]),
-            a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]),
+            a_ub=CSCMatrix.from_dense([[1.0, 1.0]]), b_ub=np.array([1.0]),
             lb=np.zeros(2), ub=np.ones(2), **NO_EQ,
         )
         assert not res.infeasible
@@ -139,7 +139,8 @@ class TestOptimumPreservation:
         x0 = rng.uniform(lb, ub)
         b_ub = a_ub @ x0 + np.round(rng.uniform(0.1, 2.0, size=m), 3)
         b_ub[-1] += 50.0  # redundant row
-        kw = dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=np.zeros((0, n)),
+        no_eq = CSCMatrix.from_dense(np.zeros((0, n)))
+        kw = dict(c=c, a_ub=CSCMatrix.from_dense(a_ub), b_ub=b_ub, a_eq=no_eq,
                   b_eq=np.zeros(0), lb=lb, ub=ub)
         raw = solve_lp_arrays(engine="highs", **kw)
 
@@ -149,8 +150,8 @@ class TestOptimumPreservation:
             return
         red = solve_lp_arrays(
             engine="highs", c=c,
-            a_ub=a_ub[res.keep_ub], b_ub=b_ub[res.keep_ub],
-            a_eq=np.zeros((0, n)), b_eq=np.zeros(0),
+            a_ub=CSCMatrix.from_dense(a_ub[res.keep_ub]), b_ub=b_ub[res.keep_ub],
+            a_eq=no_eq, b_eq=np.zeros(0),
             lb=res.lb, ub=res.ub,
         )
         assert red.status == raw.status
@@ -161,8 +162,8 @@ class TestOptimumPreservation:
         # The builtin engine on the reduced arrays agrees too.
         bres = solve_lp_arrays(
             engine="builtin", c=c,
-            a_ub=a_ub[res.keep_ub], b_ub=b_ub[res.keep_ub],
-            a_eq=np.zeros((0, n)), b_eq=np.zeros(0),
+            a_ub=CSCMatrix.from_dense(a_ub[res.keep_ub]), b_ub=b_ub[res.keep_ub],
+            a_eq=no_eq, b_eq=np.zeros(0),
             lb=res.lb, ub=res.ub,
         )
         assert bres.status == raw.status
@@ -175,7 +176,7 @@ class TestOptimumPreservation:
         # A costed column in no row stays free unless explicitly enabled.
         res = presolve_arrays(
             c=np.array([0.0, 1.0]),
-            a_ub=np.array([[1.0, 0.0]]), b_ub=np.array([1.0]),
+            a_ub=CSCMatrix.from_dense([[1.0, 0.0]]), b_ub=np.array([1.0]),
             lb=np.zeros(2), ub=np.full(2, 3.0), **NO_EQ,
         )
         assert res.cols_fixed == 0
@@ -185,7 +186,7 @@ class TestOptimumPreservation:
     def test_empty_column_fixing_opt_in(self):
         res = presolve_arrays(
             c=np.array([0.0, 1.0]),
-            a_ub=np.array([[1.0, 0.0]]), b_ub=np.array([1.0]),
+            a_ub=CSCMatrix.from_dense([[1.0, 0.0]]), b_ub=np.array([1.0]),
             lb=np.zeros(2), ub=np.full(2, 3.0), **NO_EQ,
             fix_empty_columns=True,
         )

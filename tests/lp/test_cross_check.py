@@ -17,8 +17,9 @@ import pytest
 
 from repro.lp.matrix_lp import ArrayLPResult, RelaxationContext, solve_lp_arrays
 from repro.lp.revised_simplex import SparseBoundedLP, solve_bounded_lp
+from repro.lp.sparse import CSCMatrix
 
-from ..oracles.reference import solve_lp_arrays_reference
+from ..oracles.reference import dense_arrays, solve_lp_arrays_reference
 
 ENGINES = ("builtin", "tableau", "highs")
 
@@ -26,7 +27,7 @@ ENGINES = ("builtin", "tableau", "highs")
 def _solve_arrays(engine: str, **kw):
     """One cold solve: the tableau arm runs the test-suite oracle."""
     if engine == "tableau":
-        return solve_lp_arrays_reference(**kw)
+        return solve_lp_arrays_reference(**dense_arrays(kw))
     return solve_lp_arrays(engine=engine, **kw)
 
 
@@ -49,7 +50,10 @@ def _random_instance(seed: int) -> dict:
     else:
         a_eq = np.zeros((0, n))
         b_eq = np.zeros(0)
-    return dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, lb=lb, ub=ub)
+    return dict(
+        c=c, a_ub=CSCMatrix.from_dense(a_ub), b_ub=b_ub,
+        a_eq=CSCMatrix.from_dense(a_eq), b_eq=b_eq, lb=lb, ub=ub,
+    )
 
 
 def _assert_feasible(x: np.ndarray, kw: dict, lb=None, ub=None, tol: float = 1e-6):
@@ -59,9 +63,11 @@ def _assert_feasible(x: np.ndarray, kw: dict, lb=None, ub=None, tol: float = 1e-
     assert (x >= lb - tol).all(), "lower bound violated"
     assert (x <= ub + tol).all(), "upper bound violated"
     if kw["a_ub"].shape[0]:
-        assert (kw["a_ub"] @ x <= kw["b_ub"] + tol).all(), "<= row violated"
+        a_ub = kw["a_ub"].to_dense()
+        assert (a_ub @ x <= kw["b_ub"] + tol).all(), "<= row violated"
     if kw["a_eq"].shape[0]:
-        assert np.abs(kw["a_eq"] @ x - kw["b_eq"]).max() <= tol, "= row violated"
+        a_eq = kw["a_eq"].to_dense()
+        assert np.abs(a_eq @ x - kw["b_eq"]).max() <= tol, "= row violated"
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -94,10 +100,10 @@ def test_warm_started_children_agree_with_highs(seed, engine):
         def solve_child(lb, ub):
             return ctx.solve(lb, ub, warm=root.warm_token)
     else:
-        root = solve_lp_arrays_reference(**kw)
+        root = solve_lp_arrays_reference(**dense_arrays(kw))
 
         def solve_child(lb, ub):
-            return solve_lp_arrays_reference(**{**kw, "lb": lb, "ub": ub})
+            return solve_lp_arrays_reference(**dense_arrays({**kw, "lb": lb, "ub": ub}))
     if root.status != "optimal":
         pytest.skip("root relaxation infeasible for this seed")
     rng = np.random.default_rng(9000 + seed)
@@ -188,7 +194,7 @@ def test_dual_children_match_tableau_and_highs(seed):
     kw = _random_instance(seed)
     dual_ctx = RelaxationContext(engine="builtin", **kw)
     root = dual_ctx.solve()
-    assert root.status == solve_lp_arrays_reference(**kw).status
+    assert root.status == solve_lp_arrays_reference(**dense_arrays(kw)).status
     if root.status != "optimal":
         pytest.skip("root relaxation infeasible for this seed")
     rng = np.random.default_rng(7100 + seed)
@@ -207,7 +213,7 @@ def test_dual_children_match_tableau_and_highs(seed):
     for _ in range(3):
         lb1, ub1 = tighten(kw["lb"], kw["ub"])
         child = dual_ctx.solve(lb1, ub1, warm=root.warm_token)
-        oracle = solve_lp_arrays_reference(**{**kw, "lb": lb1, "ub": ub1})
+        oracle = solve_lp_arrays_reference(**dense_arrays({**kw, "lb": lb1, "ub": ub1}))
         assert child.status == oracle.status
         if child.status == "optimal":
             assert child.objective == pytest.approx(

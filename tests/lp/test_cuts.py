@@ -15,6 +15,7 @@ from repro.lp.cuts import (
     separate_cover_cut,
     separate_cuts,
 )
+from repro.lp.sparse import CSCMatrix
 
 
 class TestCoverCut:
@@ -39,20 +40,21 @@ class TestKnapsackRows:
         b = np.array([6.0, 1.0, 3.0])
         integral = np.array([True, True, True])
         lb, ub = _binary_bounds(3)
-        assert knapsack_rows(a, b, integral, lb, ub) == [0]
+        assert knapsack_rows(CSCMatrix.from_dense(a), b, integral, lb, ub) == [0]
 
     def test_skips_continuous_support(self):
         a = np.array([[1.0, 1.0]])
         b = np.array([1.5])
         integral = np.array([True, False])
         lb, ub = _binary_bounds(2)
-        assert knapsack_rows(a, b, integral, lb, ub) == []
+        assert knapsack_rows(CSCMatrix.from_dense(a), b, integral, lb, ub) == []
 
     def test_skips_nonpositive_rhs(self):
         a = np.array([[1.0, 1.0]])
         b = np.array([0.0])
         lb, ub = _binary_bounds(2)
-        assert knapsack_rows(a, b, np.array([True, True]), lb, ub) == []
+        integral = np.array([True, True])
+        assert knapsack_rows(CSCMatrix.from_dense(a), b, integral, lb, ub) == []
 
     def test_skips_general_integer_support(self):
         # Regression: an integral variable with ub > 1 is NOT binary; a
@@ -62,14 +64,20 @@ class TestKnapsackRows:
         integral = np.array([True, True])
         lb = np.zeros(2)
         ub = np.array([1.0, 4.0])  # x1 is a general integer
-        assert knapsack_rows(a, b, integral, lb, ub) == []
+        assert knapsack_rows(CSCMatrix.from_dense(a), b, integral, lb, ub) == []
 
     def test_no_rows_without_bound_proof(self):
         # Regression: integrality alone never proves 0/1-ness.
         a = np.array([[3.0, 4.0, 2.0]])
         b = np.array([6.0])
         integral = np.array([True, True, True])
-        assert knapsack_rows(a, b, integral) == []
+        assert knapsack_rows(CSCMatrix.from_dense(a), b, integral) == []
+
+
+def _entries(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(support, weights) of one dense row, as its CSC entry arrays."""
+    csc = CSCMatrix.from_dense(row[None, :])
+    return csc.nnz_cols, csc.data
 
 
 class TestSeparation:
@@ -81,7 +89,7 @@ class TestSeparation:
         # {0,1} (weight 6 > 4) cut x0+x1 <= 1 violated by 0.8.
         row = np.array([3.0, 3.0, 3.0])
         x = np.array([0.9, 0.9, 0.2])
-        cut = separate_cover_cut(row, 4.0, x, row_index=0)
+        cut = separate_cover_cut(*_entries(row), 4.0, x, row_index=0)
         assert cut is not None
         assert set(cut.members) == {0, 1}
         assert cut.violation(x) == pytest.approx(0.8)
@@ -89,12 +97,12 @@ class TestSeparation:
     def test_no_cover_when_everything_fits(self):
         row = np.array([1.0, 1.0, 1.0])
         x = np.array([1.0, 1.0, 1.0])
-        assert separate_cover_cut(row, 10.0, x, 0) is None
+        assert separate_cover_cut(*_entries(row), 10.0, x, 0) is None
 
     def test_unviolated_cover_rejected(self):
         row = np.array([3.0, 3.0])
         x = np.array([0.1, 0.1])
-        assert separate_cover_cut(row, 4.0, x, 0) is None
+        assert separate_cover_cut(*_entries(row), 4.0, x, 0) is None
 
     def test_separate_cuts_orders_by_violation(self):
         a = np.array([
@@ -105,7 +113,7 @@ class TestSeparation:
         x = np.array([0.95, 0.95, 0.6])
         integral = np.array([True, True, True])
         lb, ub = _binary_bounds(3)
-        cuts = separate_cuts(a, b, x, integral, lb=lb, ub=ub)
+        cuts = separate_cuts(CSCMatrix.from_dense(a), b, x, integral, lb=lb, ub=ub)
         assert cuts
         violations = [c.violation(x) for c in cuts]
         assert violations == sorted(violations, reverse=True)
@@ -113,7 +121,7 @@ class TestSeparation:
     def test_cuts_to_rows(self):
         cuts = [CoverCut(0, (0, 2))]
         a, b = cuts_to_rows(cuts, 4)
-        assert a.tolist() == [[1.0, 0.0, 1.0, 0.0]]
+        assert a.to_dense().tolist() == [[1.0, 0.0, 1.0, 0.0]]
         assert b.tolist() == [1.0]
 
 

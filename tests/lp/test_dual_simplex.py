@@ -15,6 +15,7 @@ import pytest
 
 from repro.lp.dual_simplex import DualResult, solve_bounded_lp_dual
 from repro.lp.revised_simplex import SparseBoundedLP, solve_bounded_lp
+from repro.lp.sparse import CSCMatrix
 
 
 def _family(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
@@ -22,9 +23,9 @@ def _family(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     n = c.shape[0]
     return SparseBoundedLP(
         c,
-        np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, float),
+        CSCMatrix.from_dense(np.zeros((0, n)) if a_ub is None else a_ub),
         np.zeros(0) if b_ub is None else np.asarray(b_ub, float),
-        np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, float),
+        CSCMatrix.from_dense(np.zeros((0, n)) if a_eq is None else a_eq),
         np.zeros(0) if b_eq is None else np.asarray(b_eq, float),
     )
 

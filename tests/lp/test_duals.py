@@ -43,7 +43,7 @@ def knapsack_family() -> tuple[SparseBoundedLP, np.ndarray, np.ndarray]:
         c=np.array([-3.0, -2.0]),
         a_ub=dense_csc([[1.0, 1.0], [1.0, 0.0]]),
         b_ub=np.array([4.0, 3.0]),
-        a_eq=np.zeros((0, 2)),
+        a_eq=CSCMatrix.from_dense(np.zeros((0, 2))),
         b_eq=np.zeros(0),
     )
     lb = np.zeros(2)
@@ -82,7 +82,7 @@ class TestRevisedSimplexDuals:
             c=np.array([-1.0]),
             a_ub=dense_csc([[1.0], [1.0]]),
             b_ub=np.array([2.0, 50.0]),
-            a_eq=np.zeros((0, 1)),
+            a_eq=CSCMatrix.from_dense(np.zeros((0, 1))),
             b_eq=np.zeros(0),
         )
         result = solve_bounded_lp(family, np.zeros(1), np.full(1, 10.0))
@@ -118,7 +118,7 @@ class TestDualSimplexDuals:
                 c=rng.uniform(-3.0, 1.0, size=n),
                 a_ub=dense_csc(a.tolist()),
                 b_ub=rng.uniform(2.0, 8.0, size=m),
-                a_eq=np.zeros((0, n)),
+                a_eq=CSCMatrix.from_dense(np.zeros((0, n))),
                 b_eq=np.zeros(0),
             )
             lb = np.zeros(n)
@@ -150,9 +150,9 @@ class TestDualSimplexDuals:
 class TestArrayLPDuals:
     ARRAYS = dict(
         c=np.array([-3.0, -2.0]),
-        a_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
+        a_ub=CSCMatrix.from_dense([[1.0, 1.0], [1.0, 0.0]]),
         b_ub=np.array([4.0, 3.0]),
-        a_eq=np.zeros((0, 2)),
+        a_eq=CSCMatrix.from_dense(np.zeros((0, 2))),
         b_eq=np.zeros(0),
         lb=np.zeros(2),
         ub=np.full(2, 10.0),

@@ -16,6 +16,7 @@ from repro.lp import (
 )
 from repro.lp.branch_bound import solve_branch_and_bound
 from repro.lp.matrix_lp import solve_lp_arrays
+from repro.lp.sparse import CSCMatrix
 from repro.lp.standard_form import to_matrix_form
 
 from ..oracles.reference import solve_lp_arrays_reference
@@ -48,9 +49,9 @@ class TestSimplexLimits:
     def test_builtin_engine_iteration_limit_is_error(self):
         kw = dict(
             c=np.array([-1.0, -2.0]),
-            a_ub=np.array([[1.0, 1.0]]),
+            a_ub=CSCMatrix.from_dense([[1.0, 1.0]]),
             b_ub=np.array([4.0]),
-            a_eq=np.zeros((0, 2)),
+            a_eq=CSCMatrix.from_dense(np.zeros((0, 2))),
             b_eq=np.zeros(0),
             lb=np.zeros(2),
             ub=np.array([3.0, 2.0]),
@@ -155,7 +156,8 @@ class TestDegenerateModels:
         assert sol.value(x) == pytest.approx(-5.0)
         form = to_matrix_form(p)
         ref = solve_lp_arrays_reference(
-            form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, form.lb, form.ub
+            form.c, form.a_ub.to_dense(), form.b_ub, form.a_eq.to_dense(),
+            form.b_eq, form.lb, form.ub,
         )
         assert ref.status == "optimal"
         assert ref.x[0] == pytest.approx(-5.0)

@@ -16,6 +16,7 @@ from repro.lp.branch_bound import solve_branch_and_bound
 from repro.lp.cuts import implied_bound_pairs, implied_bound_rows
 from repro.lp.matrix_lp import RelaxationContext
 from repro.lp.solvers import SolveCache
+from repro.lp.sparse import CSCMatrix
 from repro.lp.standard_form import to_matrix_form
 
 INF = np.inf
@@ -24,7 +25,7 @@ INF = np.inf
 class TestImpliedBoundPairs:
     def test_big_m_row_yields_one_pair_per_binary(self):
         # 3 x0 + 5 x1 + 2 y - 8 u <= 0: x0, x1, u binary, y continuous.
-        a = np.array([[3.0, 5.0, 2.0, -8.0]])
+        a = CSCMatrix.from_dense([[3.0, 5.0, 2.0, -8.0]])
         integral = np.array([True, True, False, True])
         pairs = implied_bound_pairs(
             a, np.zeros(1), integral, np.zeros(4), np.array([1.0, 1.0, INF, 1.0])
@@ -33,7 +34,7 @@ class TestImpliedBoundPairs:
 
     def test_coefficient_within_rhs_yields_nothing(self):
         # x0 + x1 - p <= 1 (a peer-split link): u = 0 still allows one x.
-        a = np.array([[1.0, 1.0, -1.0]])
+        a = CSCMatrix.from_dense([[1.0, 1.0, -1.0]])
         pairs = implied_bound_pairs(
             a, np.ones(1), np.ones(3, dtype=bool), np.zeros(3), np.ones(3)
         )
@@ -52,13 +53,13 @@ class TestImpliedBoundPairs:
     )
     def test_rows_that_do_not_qualify(self, row, lb, ub):
         pairs = implied_bound_pairs(
-            np.array([row]), np.zeros(1), np.ones(3, dtype=bool),
+            CSCMatrix.from_dense([row]), np.zeros(1), np.ones(3, dtype=bool),
             np.array(lb, dtype=float), np.array(ub, dtype=float),
         )
         assert pairs.shape == (0, 2)
 
     def test_pairs_from_several_rows_are_deduplicated(self):
-        a = np.array([[2.0, 3.0, -5.0], [1.0, 0.0, -1.0]])
+        a = CSCMatrix.from_dense([[2.0, 3.0, -5.0], [1.0, 0.0, -1.0]])
         pairs = implied_bound_pairs(
             a, np.zeros(2), np.ones(3, dtype=bool), np.zeros(3), np.ones(3)
         )
@@ -74,21 +75,21 @@ class TestImpliedBoundPairs:
             row = rng.integers(-6, 7, size=5).astype(float)
             b = float(rng.integers(-2, 5))
             pairs = implied_bound_pairs(
-                row[None, :], np.array([b]), np.ones(5, dtype=bool),
-                np.zeros(5), np.ones(5),
+                CSCMatrix.from_dense(row[None, :]), np.array([b]),
+                np.ones(5, dtype=bool), np.zeros(5), np.ones(5),
             )
             if not pairs.size:
                 continue
             a_cut, b_cut = implied_bound_rows(pairs, 5)
             feasible = points[points @ row <= b + 1e-9]
-            assert (feasible @ a_cut.T <= b_cut + 1e-9).all()
+            assert (feasible @ a_cut.to_dense().T <= b_cut + 1e-9).all()
             checked += 1
         assert checked > 20
 
     def test_rows_materialize_as_x_minus_u(self):
         a, b = implied_bound_rows(np.array([[0, 3], [2, 3]]), 4)
         np.testing.assert_array_equal(
-            a, [[1.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, -1.0]]
+            a.to_dense(), [[1.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, -1.0]]
         )
         np.testing.assert_array_equal(b, [0.0, 0.0])
 
@@ -205,5 +206,7 @@ class TestPersistentContextHoldsEachCutOnce:
         keys = pairs[:, 0] * n + pairs[:, 1]
         assert np.unique(keys).shape == keys.shape
         cut_rows, _ = implied_bound_rows(pairs, n)
-        copies = (context.a_ub[None, :, :] == cut_rows[:, None, :]).all(axis=2)
+        copies = (
+            context.a_ub.to_dense()[None, :, :] == cut_rows.to_dense()[:, None, :]
+        ).all(axis=2)
         np.testing.assert_array_equal(copies.sum(axis=1), 1)

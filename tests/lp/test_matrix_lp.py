@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lp.matrix_lp import solve_lp_arrays
+from repro.lp.sparse import CSCMatrix
 
 
 def arrays(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None):
     n = len(c)
     return dict(
         c=np.array(c, dtype=float),
-        a_ub=np.array(a_ub, dtype=float) if a_ub is not None else np.zeros((0, n)),
+        a_ub=CSCMatrix.from_dense(a_ub if a_ub is not None else np.zeros((0, n))),
         b_ub=np.array(b_ub, dtype=float) if b_ub is not None else np.zeros(0),
-        a_eq=np.array(a_eq, dtype=float) if a_eq is not None else np.zeros((0, n)),
+        a_eq=CSCMatrix.from_dense(a_eq if a_eq is not None else np.zeros((0, n))),
         b_eq=np.array(b_eq, dtype=float) if b_eq is not None else np.zeros(0),
         lb=np.array(lb, dtype=float) if lb is not None else np.zeros(n),
         ub=np.array(ub, dtype=float) if ub is not None else np.full(n, np.inf),

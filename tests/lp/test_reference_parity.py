@@ -3,7 +3,7 @@
 ``solve_lp_arrays_reference`` (:mod:`tests.oracles.reference`, the
 per-row Python-loop standardization kept from before the node cache) is
 the oracle every cross-check leans on, and ``to_matrix_form`` now
-*derives* its dense matrices from
+*derives* its CSC blocks from
 :func:`repro.lp.sparse.constraint_blocks`.  These tests pin the two
 together so the baseline cannot silently drift from what the sparse
 assembly feeds the engines:
@@ -31,7 +31,7 @@ from repro.lp.sparse import (
 )
 from repro.lp.standard_form import to_matrix_form
 
-from ..oracles.reference import solve_lp_arrays_reference
+from ..oracles.reference import dense_arrays, solve_lp_arrays_reference
 from .test_cross_check import _random_instance
 
 
@@ -104,17 +104,21 @@ class TestDenseViewDerivation:
         prob = _seeded_problem(seed)
         form = to_matrix_form(prob)
         a_ub, b_ub, a_eq, b_eq = _historical_dense_build(prob)
-        np.testing.assert_array_equal(form.a_ub, a_ub)
+        np.testing.assert_array_equal(form.a_ub.to_dense(), a_ub)
         np.testing.assert_array_equal(form.b_ub, b_ub)
-        np.testing.assert_array_equal(form.a_eq, a_eq)
+        np.testing.assert_array_equal(form.a_eq.to_dense(), a_eq)
         np.testing.assert_array_equal(form.b_eq, b_eq)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_sparse_block_views_are_consistent(self, seed):
         prob = _seeded_problem(seed)
         blocks = constraint_blocks(prob)
-        dense = blocks.to_dense()
-        np.testing.assert_array_equal(CSCMatrix.from_blocks(blocks).to_dense(), dense)
+        dense = np.zeros((blocks.n_rows, blocks.n_cols))
+        dense[blocks.rows, blocks.cols] = blocks.data
+        csc = CSCMatrix.from_triplets(
+            blocks.rows, blocks.cols, blocks.data, (blocks.n_rows, blocks.n_cols)
+        )
+        np.testing.assert_array_equal(csc.to_dense(), dense)
         np.testing.assert_array_equal(CSCMatrix.from_dense(dense).to_dense(), dense)
         # Objective/bounds come off the same traversal order.
         c, _c0, sign = objective_arrays(prob)
@@ -138,7 +142,7 @@ class TestReferenceStandardization:
     @pytest.mark.parametrize("seed", range(0, 50, 5))
     def test_reference_solves_agree_with_revised_core(self, seed):
         kw = _random_instance(seed)
-        ref = solve_lp_arrays_reference(**kw)
+        ref = solve_lp_arrays_reference(**dense_arrays(kw))
         rev = solve_lp_arrays(engine="builtin", **kw)
         assert ref.status == rev.status
         if ref.status == "optimal":

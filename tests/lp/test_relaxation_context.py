@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from repro.lp.matrix_lp import RelaxationContext, solve_lp_arrays
+from repro.lp.sparse import CSCMatrix
 
-from ..oracles.reference import solve_lp_arrays_reference
+from ..oracles.reference import dense_arrays, solve_lp_arrays_reference
 
 
 def problem():
     """min -x - 2y - z, one coupling row, y free at the root."""
     return dict(
         c=np.array([-1.0, -2.0, -1.0]),
-        a_ub=np.array([[1.0, 1.0, 1.0]]),
+        a_ub=CSCMatrix.from_dense([[1.0, 1.0, 1.0]]),
         b_ub=np.array([6.0]),
-        a_eq=np.zeros((0, 3)),
+        a_eq=CSCMatrix.from_dense(np.zeros((0, 3))),
         b_eq=np.zeros(0),
         lb=np.array([0.0, -np.inf, 1.0]),
         ub=np.array([4.0, 3.0, np.inf]),
@@ -29,7 +30,7 @@ class TestRootSolve:
         ctx = RelaxationContext(engine="builtin", **kw)
         cached = ctx.solve()
         one_shot = solve_lp_arrays(engine="builtin", **kw)
-        reference = solve_lp_arrays_reference(**kw)
+        reference = solve_lp_arrays_reference(**dense_arrays(kw))
         assert cached.status == one_shot.status == reference.status == "optimal"
         assert cached.objective == pytest.approx(one_shot.objective)
         assert cached.objective == pytest.approx(reference.objective)
@@ -183,7 +184,7 @@ class TestTelemetry:
     def test_tableau_engine_matches_revised(self):
         kw = problem()
         rev = solve_lp_arrays(engine="builtin", **kw)
-        tab = solve_lp_arrays_reference(**kw)
+        tab = solve_lp_arrays_reference(**dense_arrays(kw))
         assert rev.status == tab.status == "optimal"
         assert rev.objective == pytest.approx(tab.objective, abs=1e-8)
 
@@ -197,3 +198,41 @@ class TestHighsEngineContext:
         assert res.status == ref.status == "optimal"
         assert res.objective == pytest.approx(ref.objective)
         assert ctx.node_solves == 1
+
+
+class TestSparseScale:
+    def test_builtin_context_never_allocates_a_dense_matrix(self):
+        # 2,000 x 100,000 with 3 nonzeros per column: a dense copy of the
+        # constraint matrix alone would be 1.6 GB.
+        import tracemalloc
+
+        m_ub, m_eq, n = 1900, 100, 100_000
+        rng = np.random.default_rng(0)
+        first = rng.integers(0, m_ub, size=n)
+        second = (first + rng.integers(1, m_ub, size=n)) % m_ub
+        a_ub = CSCMatrix(
+            shape=(m_ub, n),
+            indptr=np.arange(0, 2 * n + 1, 2, dtype=np.int64),
+            indices=np.sort(np.column_stack([first, second]), axis=1).ravel(),
+            data=rng.uniform(0.5, 3.0, size=2 * n),
+        )
+        a_eq = CSCMatrix(
+            shape=(m_eq, n),
+            indptr=np.arange(n + 1, dtype=np.int64),
+            indices=rng.integers(0, m_eq, size=n),
+            data=np.ones(n),
+        )
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ctx = RelaxationContext(
+                rng.uniform(-1.0, 1.0, size=n), a_ub, np.full(m_ub, 2.0),
+                a_eq, np.ones(m_eq), np.zeros(n), np.ones(n),
+                engine="builtin", integrality=np.ones(n, dtype=bool),
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ctx._family.a.shape == (m_ub + m_eq, n)
+        assert peak < 64 * 2**20

@@ -14,7 +14,6 @@ from repro.lp.revised_simplex import (
     RevisedResult,
     SparseBoundedLP,
     _Solver,
-    _vstack_csc,
     bordered_binv,
     solve_bounded_lp,
 )
@@ -30,9 +29,9 @@ def _family(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     n = c.shape[0]
     return SparseBoundedLP(
         c,
-        np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, float),
+        CSCMatrix.from_dense(np.zeros((0, n)) if a_ub is None else a_ub),
         np.zeros(0) if b_ub is None else np.asarray(b_ub, float),
-        np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, float),
+        CSCMatrix.from_dense(np.zeros((0, n)) if a_eq is None else a_eq),
         np.zeros(0) if b_eq is None else np.asarray(b_eq, float),
     )
 
@@ -215,7 +214,7 @@ class TestExactHelpers:
         for m_top, m_bot in ((5, 3), (1, 1), (0, 4), (4, 0), (0, 0)):
             top_d, top = _random_csc(rng, m_top, n, empty_cols=(2, 5))
             bot_d, bot = _random_csc(rng, m_bot, n, empty_cols=(5, 7))
-            got = _vstack_csc(top, bot, n)
+            got = CSCMatrix.vstack(top, bot)
             _assert_same_csc(got, CSCMatrix.from_dense(np.vstack([top_d, bot_d])))
 
     def test_bordered_binv_matches_dense_construction(self):

@@ -103,6 +103,11 @@ def _standardize_arrays_reference(
     return a, b, cost, plus, minus
 
 
+def dense_arrays(kw: dict) -> dict:
+    """``kw`` with its CSC ``a_ub``/``a_eq`` blocks expanded for this oracle."""
+    return {**kw, "a_ub": kw["a_ub"].to_dense(), "a_eq": kw["a_eq"].to_dense()}
+
+
 def solve_lp_arrays_reference(
     c: np.ndarray,
     a_ub: np.ndarray,
