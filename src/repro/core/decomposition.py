@@ -28,9 +28,12 @@ only through the per-target capacity rows.  This module exploits that:
   function value is the same lower bound the master would certify.
 * **Primal rounding** — the greedy baseline, guided by the master's
   fractional support and the final duals, rounds to an integral plan
-  (capacity-, risk- and ω-feasible), followed by a single local
-  reassignment pass; the exact duality gap against the Lagrangian
-  bound is reported on every plan.
+  (capacity-, risk- and ω-feasible), followed by one exact-cost local
+  reassignment sweep that prices each group's moves a row at a time
+  over all sites (:class:`SiteSpace` holds every site's step-priced
+  space schedule as arrays) and is checked move for move against the
+  scalar oracle in ``tests/oracles/decomposition.py``; the exact
+  duality gap against the Lagrangian bound is reported on every plan.
 
 The lower bound is valid for the true MILP objective.  The reported
 bound is the *exact* Lagrangian dual of the load-linking constraints
@@ -103,6 +106,61 @@ class DecompositionConfig:
             raise ValueError("smoothing must be in (0, 1]")
 
 
+@dataclass(frozen=True)
+class SiteSpace:
+    """Every target site's exact space(+fixed) schedule, as padded arrays.
+
+    Row ``j`` holds the tiers of ``dc.space_cost.truncated(dc.capacity)``
+    — only the first, stretched to the capacity, when economies of scale
+    are off, since the model then charges the base price at every load.
+    Columns past a site's last tier are ``inf``.
+    """
+
+    lower: np.ndarray            # (J, K) tier lower bounds
+    upper: np.ndarray            # (J, K) tier upper bounds (<= capacity)
+    price: np.ndarray            # (J, K) all-units unit prices
+    fixed: np.ndarray            # (J,) fixed monthly facility cost
+
+    @classmethod
+    def build(
+        cls, targets: list[DataCenter], options: ModelOptions
+    ) -> "SiteSpace":
+        tiers = []
+        for dc in targets:
+            segments = dc.space_cost.truncated(dc.capacity).segments
+            if options.economies_of_scale:
+                tiers.append([(s.lower, s.upper, s.unit_price) for s in segments])
+            else:
+                tiers.append([(segments[0].lower, dc.capacity, segments[0].unit_price)])
+        shape = (len(targets), max((len(t) for t in tiers), default=1))
+        lower, upper, price = (np.full(shape, np.inf) for _ in range(3))
+        for j, rows in enumerate(tiers):
+            k = len(rows)
+            lower[j, :k], upper[j, :k], price[j, :k] = zip(*rows)
+        fixed = np.array([float(dc.fixed_monthly_cost) for dc in targets])
+        return cls(lower=lower, upper=upper, price=price, fixed=fixed)
+
+    def cost(self, load: np.ndarray) -> np.ndarray:
+        """Exact space+fixed cost of ``load[j]`` servers at every site ``j``.
+
+        ``price * load + fixed`` in the tier holding the load, ``0`` at
+        ``load <= 0`` — the same IEEE operations, in the same order, as
+        ``schedule.total_cost(load) + dc.fixed_monthly_cost``.  A load
+        past the capacity prices in the last tier (callers mask those
+        sites out).
+        """
+        tier = np.maximum((self.lower <= load[:, None]).sum(axis=1) - 1, 0)
+        price = self.price[np.arange(len(load)), tier]
+        return np.where(load > 0, price * load + self.fixed, 0.0)
+
+    def site_cost(self, j: int, load: float) -> float:
+        """:meth:`cost` at the one site ``j``."""
+        if load <= 0:
+            return 0.0
+        tier = max(int(np.count_nonzero(self.lower[j] <= load)) - 1, 0)
+        return self.price[j, tier] * load + self.fixed[j]
+
+
 @dataclass
 class GroupBlocks:
     """The block-decomposed view of an as-is state."""
@@ -111,10 +169,15 @@ class GroupBlocks:
     servers: np.ndarray          # (G,) int
     target_names: list[str]
     capacities: np.ndarray       # (J,) float
-    #: Placement cost per (group, target); ``inf`` marks ineligible pairs.
+    #: Raw :func:`placement_cost` per (group, target) — everything but
+    #: space; ``inf`` marks ineligible pairs.
+    placement: np.ndarray        # (G, J) float
+    #: ``placement`` plus the linear space rate times the group's servers.
     cost: np.ndarray             # (G, J) float
     #: Underestimating per-server space(+amortized fixed) rate per site.
     space_rate: np.ndarray       # (J,) float
+    #: Exact step-priced space(+fixed) schedule of every site.
+    space: SiteSpace
     #: Per site: candidate ``(loads, exact space+fixed costs)`` arrays —
     #: the segment endpoints of the all-units schedule plus the unused
     #: point ``(0, 0)``.  Because the exact cost is linear on every
@@ -150,70 +213,46 @@ class DecompositionOutcome:
 # -- group-block extraction (parallel cost-matrix build) -------------------
 
 
-def _space_rate(dc: DataCenter, options: ModelOptions) -> float:
-    """Valid per-server underestimate of space + fixed cost at ``dc``.
+def _space_rate(space: SiteSpace, capacities: np.ndarray) -> np.ndarray:
+    """Valid per-server underestimate of space + fixed cost at every site.
 
     All-units tier prices are non-increasing, so the cheapest tier
     under-estimates the exact schedule; without economies of scale the
-    model itself charges the (exact) base price.  The fixed facility
-    cost amortizes as ``fixed/capacity`` per server — the exact LP
-    relaxation of ``load <= capacity * used``.
+    table holds only the (exact) base price.  The fixed facility cost
+    amortizes as ``fixed/capacity`` per server — the exact LP relaxation
+    of ``load <= capacity * used``.
     """
-    schedule = dc.space_cost.truncated(dc.capacity)
-    if options.economies_of_scale:
-        rate = min(seg.unit_price for seg in schedule.segments)
-    else:
-        rate = schedule.segments[0].unit_price
-    if dc.fixed_monthly_cost > 0 and dc.capacity > 0:
-        rate += dc.fixed_monthly_cost / dc.capacity
-    return rate
+    rate = space.price.min(axis=1)
+    return np.where(space.fixed > 0, rate + space.fixed / capacities, rate)
 
 
-def _site_points(
-    dc: DataCenter, options: ModelOptions
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate ``(load, exact space+fixed cost)`` points for one site.
+def _site_points(space: SiteSpace, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate ``(load, exact space+fixed cost)`` points for site ``j``.
 
     All-units pricing makes the exact cost linear in the load on every
     tier segment (``unit_price * q``, plus the fixed facility charge
     whenever the site is used), so ``min_q (S(q) - sigma q)`` over the
-    whole ``[0, capacity]`` range is attained at one of these points.
+    whole ``[0, capacity]`` range is attained at one of these points:
+    each tier's two ends, plus the unused point ``(0, 0)``.
     """
-    cap = int(dc.capacity)
-    loads = [0.0]
-    costs = [0.0]
-    schedule = dc.space_cost.truncated(cap) if cap >= 1 else None
-    if schedule is not None:
-        fixed = float(dc.fixed_monthly_cost)
-        if options.economies_of_scale:
-            segments = schedule.segments
-        else:
-            segments = (schedule.segments[0],)
-        for seg in segments:
-            upper = cap if seg.upper is None else min(int(seg.upper), cap)
-            price = seg.unit_price
-            if not options.economies_of_scale:
-                upper = cap
-            for q in (max(int(seg.lower), 1), upper):
-                loads.append(float(q))
-                costs.append(price * q + fixed)
-    return np.array(loads), np.array(costs)
+    tiers = np.isfinite(space.lower[j])
+    ends = np.column_stack(
+        (np.maximum(space.lower[j, tiers], 1.0), space.upper[j, tiers])
+    ).ravel()
+    costs = np.repeat(space.price[j, tiers], 2) * ends + space.fixed[j]
+    return np.concatenate(([0.0], ends)), np.concatenate(([0.0], costs))
 
 
 def _cost_rows(payload) -> np.ndarray:
     """Worker: placement-cost rows for one chunk of groups (picklable)."""
-    state, group_indices, wan_model, space_rate = payload
+    state, group_indices, wan_model = payload
     targets = state.target_datacenters
     rows = np.full((len(group_indices), len(targets)), np.inf)
     for r, gi in enumerate(group_indices):
         group = state.app_groups[gi]
         for j, dc in enumerate(targets):
-            if not state.placeable(group, dc):
-                continue
-            rows[r, j] = (
-                placement_cost(state, group, dc, wan_model=wan_model)
-                + space_rate[j] * group.servers
-            )
+            if state.placeable(group, dc):
+                rows[r, j] = placement_cost(state, group, dc, wan_model=wan_model)
     return rows
 
 
@@ -225,18 +264,20 @@ def extract_group_blocks(
     """Price every (group, target) block, fanning chunks across workers."""
     options = options or ModelOptions()
     targets = state.target_datacenters
-    space_rate = np.array([_space_rate(dc, options) for dc in targets])
+    capacities = np.array([float(dc.capacity) for dc in targets])
+    space = SiteSpace.build(targets, options)
+    space_rate = _space_rate(space, capacities)
+    servers = np.array([g.servers for g in state.app_groups], dtype=np.int64)
     n_groups = len(state.app_groups)
 
     n_chunks = min(max(1, jobs) * 4, n_groups) if jobs > 1 else 1
     chunks = np.array_split(np.arange(n_groups), n_chunks)
     payloads = [
-        (state, chunk.tolist(), options.wan_model, space_rate)
-        for chunk in chunks
-        if len(chunk)
+        (state, chunk.tolist(), options.wan_model) for chunk in chunks if len(chunk)
     ]
     rows = parallel_map(_cost_rows, payloads, jobs=jobs)
-    cost = np.vstack(rows) if rows else np.zeros((0, len(targets)))
+    placement = np.vstack(rows) if rows else np.zeros((0, len(targets)))
+    cost = placement + space_rate[None, :] * servers[:, None]
 
     infeasible = np.isinf(cost).all(axis=1)
     if infeasible.any():
@@ -248,12 +289,14 @@ def extract_group_blocks(
         )
     return GroupBlocks(
         group_names=[g.name for g in state.app_groups],
-        servers=np.array([g.servers for g in state.app_groups], dtype=np.int64),
+        servers=servers,
         target_names=[dc.name for dc in targets],
-        capacities=np.array([float(dc.capacity) for dc in targets]),
+        capacities=capacities,
+        placement=placement,
         cost=cost,
         space_rate=space_rate,
-        space_points=[_site_points(dc, options) for dc in targets],
+        space=space,
+        space_points=[_site_points(space, j) for j in range(len(targets))],
     )
 
 
@@ -375,43 +418,48 @@ class _Rounder:
     """Greedy integral rounding that honors capacity, risk and ω."""
 
     def __init__(self, state: AsIsState, blocks: GroupBlocks) -> None:
-        self.state = state
         self.blocks = blocks
+        self.eligible = np.isfinite(blocks.cost)
         self.remaining = blocks.capacities.copy()
-        self.risk_used: dict[tuple[str, int], bool] = {}
         self.site_groups = np.zeros(blocks.n_targets, dtype=np.int64)
         omega = state.params.business_impact
         self.group_cap = (
             omega * len(state.app_groups) if omega < 1.0 else math.inf
         )
-        self.risk_tag = {g.name: g.risk_group for g in state.app_groups}
+        tags: dict[str, int] = {}
+        self.risk_tag = np.array(
+            [
+                tags.setdefault(g.risk_group, len(tags)) if g.risk_group else -1
+                for g in state.app_groups
+            ],
+            dtype=np.int64,
+        )
+        #: ``risk_used[t, j]``: a group of risk tag ``t`` sits at site ``j``.
+        self.risk_used = np.zeros((len(tags), blocks.n_targets), dtype=bool)
 
-    def feasible(self, gi: int, j: int) -> bool:
-        blocks = self.blocks
-        if not np.isfinite(blocks.cost[gi, j]):
-            return False
-        if blocks.servers[gi] > self.remaining[j] + 1e-9:
-            return False
-        if self.site_groups[j] + 1 > self.group_cap + 1e-9:
-            return False
-        tag = self.risk_tag.get(blocks.group_names[gi])
-        if tag and self.risk_used.get((tag, j)):
-            return False
-        return True
+    def feasible_mask(self, gi: int) -> np.ndarray:
+        """Sites that can take group ``gi`` now: (J,) bool."""
+        mask = self.eligible[gi] & (
+            self.blocks.servers[gi] <= self.remaining + 1e-9
+        )
+        if self.group_cap < math.inf:
+            mask &= self.site_groups + 1 <= self.group_cap + 1e-9
+        tag = self.risk_tag[gi]
+        if tag >= 0:
+            mask &= ~self.risk_used[tag]
+        return mask
 
     def place(self, gi: int, j: int) -> None:
         self.remaining[j] -= self.blocks.servers[gi]
         self.site_groups[j] += 1
-        tag = self.risk_tag.get(self.blocks.group_names[gi])
-        if tag:
-            self.risk_used[(tag, j)] = True
+        if self.risk_tag[gi] >= 0:
+            self.risk_used[self.risk_tag[gi], j] = True
 
     def unplace(self, gi: int, j: int) -> None:
         self.remaining[j] += self.blocks.servers[gi]
         self.site_groups[j] -= 1
-        tag = self.risk_tag.get(self.blocks.group_names[gi])
-        if tag:
-            self.risk_used[(tag, j)] = False
+        if self.risk_tag[gi] >= 0:
+            self.risk_used[self.risk_tag[gi], j] = False
 
 
 def _round_placement(
@@ -434,20 +482,16 @@ def _round_placement(
     placement: dict[str, str] = {}
     for gi in order:
         gi = int(gi)
+        feasible = rounder.feasible_mask(gi)
         chosen = None
         if support is not None:
-            for j, _weight in support[gi]:
-                if rounder.feasible(gi, j):
-                    chosen = j
-                    break
+            chosen = next((j for j, _weight in support[gi] if feasible[j]), None)
         if chosen is None:
-            for j in np.argsort(adjusted[gi], kind="stable"):
-                j = int(j)
-                if rounder.feasible(gi, j):
-                    chosen = j
-                    break
-        if chosen is None:
-            return None
+            ranked = np.argsort(adjusted[gi], kind="stable")
+            ranked = ranked[feasible[ranked]]
+            if ranked.size == 0:
+                return None
+            chosen = int(ranked[0])
         rounder.place(gi, chosen)
         placement[blocks.group_names[gi]] = blocks.target_names[chosen]
     return placement
@@ -457,63 +501,55 @@ def _improve_placement(
     state: AsIsState,
     blocks: GroupBlocks,
     placement: dict[str, str],
-    options: ModelOptions,
 ) -> dict[str, str]:
     """One local pass: move any group whose exact marginal cost drops.
 
     Uses exact step-priced space deltas (the rounding itself priced
     space at the linear underestimate), so it cleans up exactly the
-    placements the relaxation was blind to.
+    placements the relaxation was blind to.  Groups go in order, since
+    every move changes two site loads; each group's deltas are priced
+    as one row over all sites, with the operations of the scalar
+    per-site scan in its order.  That scan is kept in
+    ``tests/oracles/decomposition.py``, and the suite checks that the
+    two make the same moves.
     """
-    targets = {dc.name: dc for dc in state.target_datacenters}
+    space = blocks.space
     tindex = {name: j for j, name in enumerate(blocks.target_names)}
-    loads: dict[str, int] = {name: 0 for name in blocks.target_names}
-    for group in state.app_groups:
-        loads[placement[group.name]] += group.servers
-
-    def space_cost(dc: DataCenter, load: int) -> float:
-        if load <= 0:
-            return 0.0
-        schedule = dc.space_cost.truncated(dc.capacity)
-        if options.economies_of_scale:
-            base = schedule.total_cost(load)
-        else:
-            base = schedule.segments[0].unit_price * load
-        return base + dc.fixed_monthly_cost
+    site = np.array([tindex[placement[name]] for name in blocks.group_names])
+    servers = blocks.servers.astype(float)
+    loads = np.bincount(site, weights=servers, minlength=blocks.n_targets)
+    site_cost = space.cost(loads)
 
     rounder = _Rounder(state, blocks)
-    for gi, group in enumerate(state.app_groups):
-        rounder.place(gi, tindex[placement[group.name]])
+    for gi, j in enumerate(site):
+        rounder.place(gi, j)
 
-    for gi, group in enumerate(state.app_groups):
-        here = placement[group.name]
-        dc_here = targets[here]
-        j_here = tindex[here]
-        base_here = placement_cost(state, group, dc_here, wan_model=options.wan_model)
-        rounder.unplace(gi, j_here)
+    for gi, name in enumerate(blocks.group_names):
+        here, size = int(site[gi]), servers[gi]
+        rounder.unplace(gi, here)
+        feasible = rounder.feasible_mask(gi)
+        feasible[here] = False
+        cost_there = space.cost(loads + size)
+        cost_here = space.site_cost(here, loads[here] - size)
+        row = blocks.placement[gi]
+        delta = (
+            row - row[here] + cost_there - site_cost - site_cost[here] + cost_here
+        )
+        # The scalar rule, replayed: the first site in ascending order
+        # that beats the running best by more than 1e-9.  ``argmin``
+        # differs when two deltas lie within 1e-9 of each other.
         best_delta, best_j = 0.0, None
-        for j, name in enumerate(blocks.target_names):
-            if name == here or not rounder.feasible(gi, j):
-                continue
-            dc_there = targets[name]
-            delta = (
-                placement_cost(state, group, dc_there, wan_model=options.wan_model)
-                - base_here
-                + space_cost(dc_there, loads[name] + group.servers)
-                - space_cost(dc_there, loads[name])
-                - space_cost(dc_here, loads[here])
-                + space_cost(dc_here, loads[here] - group.servers)
-            )
-            if delta < best_delta - 1e-9:
-                best_delta, best_j = delta, j
+        for j in np.flatnonzero(feasible & (delta < -1e-9)):
+            if delta[j] < best_delta - 1e-9:
+                best_delta, best_j = delta[j], int(j)
         if best_j is None:
-            rounder.place(gi, j_here)
-        else:
-            rounder.place(gi, best_j)
-            name = blocks.target_names[best_j]
-            loads[here] -= group.servers
-            loads[name] += group.servers
-            placement[group.name] = name
+            rounder.place(gi, here)
+            continue
+        rounder.place(gi, best_j)
+        loads[here] -= size
+        loads[best_j] += size
+        site_cost[here], site_cost[best_j] = cost_here, cost_there[best_j]
+        placement[name] = blocks.target_names[best_j]
     return placement
 
 
@@ -721,7 +757,7 @@ def solve_decomposition(
         candidates.append((model_objective(state, rounded, options), rounded))
         # The local pass is blind to peer-split costs, so keep the
         # pre-improvement rounding as a candidate too.
-        improved = _improve_placement(state, blocks, dict(rounded), options)
+        improved = _improve_placement(state, blocks, dict(rounded))
         candidates.append((model_objective(state, improved, options), improved))
     if placement0 is not None:
         candidates.append((upper0, placement0))

@@ -16,14 +16,18 @@ from repro.core import (
 from repro.core.decomposition import (
     DecompositionConfig,
     DecompositionError,
+    _improve_placement,
+    _round_placement,
     extract_group_blocks,
     model_objective,
     solve_decomposition,
 )
-from repro.core.formulation import ModelOptions
+from repro.core.formulation import ModelOptions, placement_cost
 from repro.core.planner import ETransformPlanner, PlannerOptions
 from repro.datasets import latency_line_scenario
+from repro.datasets.builders import EnterpriseSpec, build_enterprise_state
 from tests.conftest import NO_PENALTY, make_datacenter
+from tests.oracles.decomposition import improve_placement, round_placement
 
 
 def line_state(n_groups=24, total_servers=160) -> AsIsState:
@@ -33,6 +37,54 @@ def line_state(n_groups=24, total_servers=160) -> AsIsState:
         n_groups=n_groups,
         total_servers=total_servers,
     )
+
+
+def synthetic_state(groups=300, servers=1_600, targets=20, seed=1) -> AsIsState:
+    """A seeded synthetic enterprise; its sites carry fixed costs."""
+    return build_enterprise_state(
+        EnterpriseSpec(
+            name=f"synthetic-{groups}",
+            app_groups=groups,
+            total_servers=servers,
+            current_datacenters=max(5, targets // 3),
+            target_datacenters=targets,
+            total_users=float(servers) * 4.0,
+            seed=seed,
+        )
+    )
+
+
+def variant_estate(variant: str) -> tuple[AsIsState, ModelOptions]:
+    """The master-shape estate, changed in one way the local pass reads."""
+    if variant == "subgradient-shape":
+        return synthetic_state(groups=1_600, servers=8_000, seed=2), ModelOptions()
+    state = synthetic_state(seed=3 if variant == "master-shape" else 1)
+    options = ModelOptions()
+    if variant == "no-economies-of-scale":
+        options = ModelOptions(economies_of_scale=False)
+    elif variant == "vpn":
+        options = ModelOptions(wan_model="vpn")
+    elif variant == "risk-groups":
+        for i, group in enumerate(state.app_groups[::3]):
+            group.risk_group = f"risk-{i % 5}"
+    elif variant == "business-impact":
+        state.params.business_impact = 0.1
+    elif variant == "forbidden-sites":
+        names = [dc.name for dc in state.target_datacenters]
+        for i, group in enumerate(state.app_groups):
+            group.forbidden_datacenters = frozenset(names[i % 7 :: 7])
+    return state, options
+
+
+VARIANTS = (
+    "master-shape",
+    "subgradient-shape",
+    "no-economies-of-scale",
+    "vpn",
+    "risk-groups",
+    "business-impact",
+    "forbidden-sites",
+)
 
 
 class TestGroupBlocks:
@@ -77,6 +129,83 @@ class TestGroupBlocks:
         serial = extract_group_blocks(tiny_state, jobs=1)
         fanned = extract_group_blocks(tiny_state, jobs=2)
         np.testing.assert_allclose(serial.cost, fanned.cost)
+        np.testing.assert_array_equal(serial.placement, fanned.placement)
+
+    @pytest.mark.parametrize("variant", ["forbidden-sites", "vpn"])
+    def test_placement_block_is_exact_placement_cost(self, variant):
+        state, options = variant_estate(variant)
+        blocks = extract_group_blocks(state, options)
+        for g, group in enumerate(state.app_groups):
+            for j, dc in enumerate(state.target_datacenters):
+                if state.placeable(group, dc):
+                    assert blocks.placement[g, j] == placement_cost(
+                        state, group, dc, wan_model=options.wan_model
+                    )
+                else:
+                    assert blocks.placement[g, j] == np.inf
+        assert np.isinf(blocks.placement).any() == (variant == "forbidden-sites")
+        assert np.array_equal(
+            blocks.cost,
+            blocks.placement + blocks.space_rate * blocks.servers[:, None],
+        )
+
+    @pytest.mark.parametrize("economies_of_scale", [True, False])
+    def test_site_space_prices_like_the_schedule(self, economies_of_scale):
+        state = synthetic_state(groups=40, servers=200, targets=6)
+        blocks = extract_group_blocks(
+            state, ModelOptions(economies_of_scale=economies_of_scale)
+        )
+        for j, dc in enumerate(state.target_datacenters):
+            schedule = dc.space_cost.truncated(dc.capacity)
+            for load in range(dc.capacity + 1):
+                loads = np.zeros(blocks.n_targets)
+                loads[j] = load
+                got = blocks.space.cost(loads)[j]
+                assert blocks.space.site_cost(j, float(load)) == got
+                if load == 0:
+                    want = 0.0
+                elif economies_of_scale:
+                    want = schedule.total_cost(load) + dc.fixed_monthly_cost
+                else:
+                    want = (
+                        schedule.segments[0].unit_price * load
+                        + dc.fixed_monthly_cost
+                    )
+                assert got == want
+
+
+def zero_dual_rounding(state, blocks):
+    return _round_placement(state, blocks, None, np.zeros(blocks.n_targets))
+
+
+class TestLocalPassOracle:
+    """The row-at-a-time primal pass against the scalar reference scan."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_improve_matches_scalar_pass(self, variant):
+        state, options = variant_estate(variant)
+        # Every synthetic site carries a fixed facility cost.
+        assert all(dc.fixed_monthly_cost > 0 for dc in state.target_datacenters)
+        blocks = extract_group_blocks(state, options)
+        rounded = zero_dual_rounding(state, blocks)
+        improved = _improve_placement(state, blocks, dict(rounded))
+        assert improved == improve_placement(state, blocks, dict(rounded), options)
+        # Not vacuous: the pass really moves groups on this estate.
+        assert sum(improved[name] != rounded[name] for name in rounded) >= 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rounding_matches_scalar_rounding(self, variant):
+        state, options = variant_estate(variant)
+        blocks = extract_group_blocks(state, options)
+        rng = np.random.default_rng(7)
+        pi = -rng.uniform(0.0, 50.0, blocks.n_targets)
+        # A master-like support: each group's three cheapest sites.
+        ranked = np.argsort(blocks.cost, axis=1, kind="stable")[:, :3]
+        support = [[(int(j), 1.0 / 3.0) for j in row] for row in ranked]
+        for walk in (None, support):
+            rounded = _round_placement(state, blocks, walk, pi)
+            assert rounded is not None
+            assert rounded == round_placement(state, blocks, walk, pi)
 
 
 class TestDecompositionParity:

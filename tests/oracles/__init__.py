@@ -1,12 +1,15 @@
-"""Reference LP solvers the test suite checks the production engines against.
+"""Reference implementations the test suite checks the production code against.
 
 * :mod:`tests.oracles.simplex` — the dense two-phase full-tableau
   simplex over the equality standard form.
 * :mod:`tests.oracles.reference` — the per-row Python-loop
   standardization of the bounded-variable array LP, feeding that
   tableau (``solve_lp_arrays_reference``).
+* :mod:`tests.oracles.decomposition` — the per-(group, site) scalar
+  scans of the decomposition engine's primal rounding and local pass.
 
-Neither is reachable from ``repro``: the library solves node LPs with
-the sparse revised/dual core or HiGHS only.  HiGHS stays the external
-oracle; these are the from-scratch second opinion.
+None is reachable from ``repro``: the library solves node LPs with
+the sparse revised/dual core or HiGHS only, and prices the local pass
+a row of sites at a time.  HiGHS stays the external LP oracle; these
+are the from-scratch second opinion.
 """
