@@ -139,6 +139,7 @@ def _run_decomposition(state) -> dict:
         "gap": outcome.gap,
         "rounds": outcome.rounds,
         "columns": outcome.columns,
+        "lp_iterations": outcome.stats.lp_iterations,
         "coordination": outcome.coordination,
     }
 

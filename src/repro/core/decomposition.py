@@ -581,9 +581,9 @@ def _run_master_loop(
     rounds = 0
     for rounds in range(1, config.max_rounds + 1):
         solution = master.solve(max_iterations=config.master_iterations)
+        lp_iterations += solution.iterations
         if solution.status != "optimal":
             break
-        lp_iterations += solution.iterations
         pi = np.minimum(solution.capacity_duals, 0.0)
         mu = solution.convexity_duals
         support = master.group_support(solution.weights)

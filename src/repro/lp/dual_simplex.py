@@ -37,7 +37,9 @@ updates (one shared pivot update), and the warm-start validation.  What it adds:
 Fixed columns (``lb == ub`` — equality slacks and branch-fixed
 binaries) carry unconstrained reduced costs; they are excluded from the
 dual feasibility test and from the ratio test, which would otherwise
-stall on their meaningless sign.
+stall on their meaningless sign.  The rule is the primal engine's
+(:data:`~repro.lp.revised_simplex.FIXED_TOL`, the shared ``_fixed``
+mask), which never prices them either.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ ENTRY_DUAL_TOL = 1e-7
 
 #: Minimum |row element| for a column to join the dual ratio test.
 ZERO_TOL = 1e-9
-
-#: Columns with a tighter gap than this count as fixed (unconstrained
-#: reduced-cost sign; never enter, never flip).
-FIXED_TOL = 1e-12
 
 
 @dataclass
@@ -128,21 +126,17 @@ class _DualSolver(_Solver):
         d[self.basis] = 0.0
         return d
 
-    def _fixed_mask(self) -> np.ndarray:
-        return (self.upper - self.lower) <= FIXED_TOL
-
     def _dual_normalize(self) -> bool:
         """Repair entry reduced-cost signs by bound flips; False if stuck."""
         d = self._reduced_costs()
-        nb = self.vstat != BASIC
-        fixed = self._fixed_mask()
-        low_bad = nb & ~fixed & (self.vstat == AT_LOWER) & (d < -ENTRY_DUAL_TOL)
-        up_bad = nb & ~fixed & (self.vstat == AT_UPPER) & (d > ENTRY_DUAL_TOL)
+        live = (self.vstat != BASIC) & ~self._fixed
+        low_bad = live & (self.vstat == AT_LOWER) & (d < -ENTRY_DUAL_TOL)
+        up_bad = live & (self.vstat == AT_UPPER) & (d > ENTRY_DUAL_TOL)
         flip_up = low_bad & np.isfinite(self.upper)
         flip_dn = up_bad & np.isfinite(self.lower)
         if (low_bad & ~flip_up).any() or (up_bad & ~flip_dn).any():
             return False
-        if (nb & (self.vstat == FREE) & (np.abs(d) > ENTRY_DUAL_TOL)).any():
+        if (live & (self.vstat == FREE) & (np.abs(d) > ENTRY_DUAL_TOL)).any():
             return False
         if flip_up.any() or flip_dn.any():
             self.vstat[flip_up] = AT_UPPER
@@ -154,9 +148,7 @@ class _DualSolver(_Solver):
 
     def _dual_violation(self) -> float:
         d = self._reduced_costs()
-        nb = self.vstat != BASIC
-        fixed = self._fixed_mask()
-        live = nb & ~fixed
+        live = (self.vstat != BASIC) & ~self._fixed
         worst = 0.0
         low = live & (self.vstat == AT_LOWER)
         if low.any():
@@ -164,7 +156,7 @@ class _DualSolver(_Solver):
         up = live & (self.vstat == AT_UPPER)
         if up.any():
             worst = max(worst, float(np.maximum(d[up], 0.0).max()))
-        fr = nb & (self.vstat == FREE)
+        fr = live & (self.vstat == FREE)
         if fr.any():
             worst = max(worst, float(np.abs(d[fr]).max()))
         return worst
@@ -228,11 +220,9 @@ class _DualSolver(_Solver):
             d = self._reduced_costs()
             self.pricing_passes += 1
 
-            nbm = self.vstat != BASIC
-            fixed = self._fixed_mask()
             elig = (
-                nbm
-                & ~fixed
+                (self.vstat != BASIC)
+                & ~self._fixed
                 & (
                     ((self.vstat == AT_LOWER) & (atil > ZERO_TOL))
                     | ((self.vstat == AT_UPPER) & (atil < -ZERO_TOL))

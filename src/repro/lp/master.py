@@ -26,6 +26,17 @@ reports (capacity duals :math:`\\pi_j \\le 0`, convexity duals
 One artificial column per convexity row (big-M cost, no capacity
 footprint) keeps every restricted master feasible regardless of which
 placement columns have been generated yet.
+
+The first solve does not cold-start from the all-slack basis, which is
+primal infeasible in every convexity row (``b = 1`` against a fixed
+slack) and would spend one phase-1 pivot per group restoring
+feasibility.  It starts instead from a *crash* basis: every capacity
+slack, plus one column per group — the group's first placement column
+in the pool (the seeded cheapest site) when its load fits what is left
+of that site's capacity, else the group's artificial.  That basis is
+``[[I, L], [0, I]]`` (unit upper triangular, so nonsingular) and primal
+feasible by construction, so phase 1 does no work; it goes through the
+ordinary ``warm=`` token of :func:`~repro.lp.revised_simplex.solve_bounded_lp`.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .revised_simplex import AT_LOWER, SparseBoundedLP, solve_bounded_lp
+from .revised_simplex import AT_LOWER, BASIC, SparseBoundedLP, solve_bounded_lp
 from .sparse import CSCMatrix
 
 
@@ -52,6 +63,8 @@ class MasterSolution:
     #: Convexity-row duals, one per group.
     convexity_duals: np.ndarray | None
     iterations: int = 0
+    #: The solve reused a previous solve's basis (the crash-started
+    #: first solve reports False).
     warm_started: bool = False
     #: Total weight carried by artificial columns (0 at a usable optimum).
     artificial_weight: float = 0.0
@@ -163,6 +176,34 @@ class RestrictedMasterLP:
         ])
         return basis, vstat
 
+    def _crash_basis(self, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+        """A primal-feasible starting token for the first solve.
+
+        Basic: every capacity slack, then one column per convexity row —
+        the group's first placement column in pool order if its load
+        fits the site's remaining capacity, else its artificial.
+        """
+        n_targets = self.capacities.shape[0]
+        remaining = self.capacities.copy()
+        chosen = list(range(self.n_groups))  # artificials by default
+        seen = [False] * self.n_groups
+        for idx in range(self.n_groups, ncols):
+            g = self.col_group[idx]
+            if seen[g]:
+                continue
+            seen[g] = True
+            j, load = self.col_target[idx], self.col_load[idx]
+            if load <= remaining[j]:
+                remaining[j] -= load
+                chosen[g] = idx
+        basis = np.concatenate([
+            np.arange(ncols, ncols + n_targets, dtype=np.int64),
+            np.asarray(chosen, dtype=np.int64),
+        ])
+        vstat = np.full(ncols + n_targets + self.n_groups, AT_LOWER, dtype=np.int8)
+        vstat[basis] = BASIC
+        return basis, vstat
+
     # -- solve -------------------------------------------------------------
 
     def solve(self, max_iterations: int = 50000) -> MasterSolution:
@@ -171,10 +212,12 @@ class RestrictedMasterLP:
         family = self._family()
         lb = np.zeros(ncols)
         ub = np.ones(ncols)
+        warm = self._remapped_warm(ncols)
+        reused = warm is not None
         result = solve_bounded_lp(
             family, lb, ub,
             max_iterations=max_iterations,
-            warm=self._remapped_warm(ncols),
+            warm=warm if reused else self._crash_basis(ncols),
         )
         if result.status != "optimal":
             return MasterSolution(
@@ -194,7 +237,7 @@ class RestrictedMasterLP:
             capacity_duals=duals[:n_targets].copy(),
             convexity_duals=duals[n_targets:].copy(),
             iterations=result.iterations,
-            warm_started=result.warm_started,
+            warm_started=reused and result.warm_started,
             artificial_weight=float(weights[: self.n_groups].sum()),
         )
 

@@ -25,7 +25,11 @@ are the ones every production LP code makes:
   numerically suspect).
 * **Pricing.**  Dantzig pricing over cyclic partial-pricing blocks,
   with a degeneracy watchdog: when the step length stalls long
-  enough, Bland's rule takes over until progress resumes.
+  enough, Bland's rule takes over until progress resumes.  Fixed
+  columns (``upper - lower <= FIXED_TOL``: equality-row slacks and
+  branch-fixed binaries) are never priced in either phase: they can
+  only "enter" with a zero-length bound flip.  The dual engine uses
+  the same :data:`FIXED_TOL` rule, defined here once.
 * **Two-pass ratio test.**  Pass one computes the maximum step under a
   small bound-relaxation tolerance; pass two picks the largest pivot
   element among the blocking candidates, trading a bounded feasibility
@@ -57,6 +61,10 @@ PIV_TOL = 1e-11
 
 #: Eta-file length that triggers a refactorization.
 REFACTOR_INTERVAL = 64
+
+#: Columns with a tighter gap than this count as fixed (unconstrained
+#: reduced-cost sign; never priced, never flipped).
+FIXED_TOL = 1e-12
 
 #: Phase-1 residual infeasibility below which the basis counts feasible
 #: (the dense reference simplex in the test suite uses the same threshold).
@@ -242,6 +250,8 @@ class _Solver:
         self.N = self.n + self.m
         self.lower = np.concatenate([np.asarray(lb, float), lp.slack_lb])
         self.upper = np.concatenate([np.asarray(ub, float), lp.slack_ub])
+        #: Columns that cannot move (bounds are fixed for the solve).
+        self._fixed = (self.upper - self.lower) <= FIXED_TOL
         self.max_iterations = max_iterations
         self.warm = warm
 
@@ -417,7 +427,7 @@ class _Solver:
 
     def _eligible(self, d: np.ndarray, lo: int, hi: int) -> np.ndarray:
         vst = self.vstat[lo:hi]
-        return (
+        return ~self._fixed[lo:hi] & (
             ((vst == AT_LOWER) & (d < -DJ_TOL))
             | ((vst == AT_UPPER) & (d > DJ_TOL))
             | ((vst == FREE) & (np.abs(d) > DJ_TOL))

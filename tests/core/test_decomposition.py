@@ -18,6 +18,7 @@ from repro.core.decomposition import (
     DecompositionError,
     _improve_placement,
     _round_placement,
+    _run_master_loop,
     extract_group_blocks,
     model_objective,
     solve_decomposition,
@@ -26,6 +27,7 @@ from repro.core.formulation import ModelOptions, placement_cost
 from repro.core.planner import ETransformPlanner, PlannerOptions
 from repro.datasets import latency_line_scenario
 from repro.datasets.builders import EnterpriseSpec, build_enterprise_state
+from repro.lp.master import RestrictedMasterLP
 from tests.conftest import NO_PENALTY, make_datacenter
 from tests.oracles.decomposition import improve_placement, round_placement
 
@@ -355,3 +357,63 @@ class TestDecompositionMechanics:
             DecompositionConfig(coordination="annealing")
         with pytest.raises(ValueError, match="smoothing"):
             DecompositionConfig(smoothing=0.0)
+
+
+def record_master_solves(monkeypatch) -> list:
+    """Spy on every restricted-master solve; returns the live record."""
+    solutions = []
+    solve = RestrictedMasterLP.solve
+
+    def spy(self, *args, **kwargs):
+        solution = solve(self, *args, **kwargs)
+        solutions.append(solution)
+        return solution
+
+    monkeypatch.setattr(RestrictedMasterLP, "solve", spy)
+    return solutions
+
+
+class TestMasterLoop:
+    def test_iteration_limited_solve_is_counted(self, monkeypatch):
+        solutions = record_master_solves(monkeypatch)
+        outcome = solve_decomposition(
+            synthetic_state(groups=120, servers=3_000, targets=12, seed=2),
+            config=DecompositionConfig(coordination="master", master_iterations=3),
+        )
+        assert solutions[-1].status == "iteration_limit"
+        assert solutions[-1].iterations > 0
+        assert outcome.stats.lp_iterations == sum(s.iterations for s in solutions)
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_converged_master_is_the_full_master_lp(self, monkeypatch, seed):
+        """An oracle for the bound: HiGHS over every (group, site) column."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        sparse = pytest.importorskip("scipy.sparse")
+        state = synthetic_state(groups=120, servers=3_000, targets=12, seed=seed)
+        blocks = extract_group_blocks(state, ModelOptions())
+        config = DecompositionConfig()
+        solutions = record_master_solves(monkeypatch)
+        _lb, _pi, _support, rounds, _columns, _iters = _run_master_loop(
+            blocks, config, None
+        )
+        assert rounds < config.max_rounds, "column generation did not converge"
+        final = solutions[-1]
+        assert final.status == "optimal"
+        assert final.artificial_weight < 1e-7
+
+        g, j = np.nonzero(np.isfinite(blocks.cost))
+        n = g.size
+        a_ub = sparse.csr_matrix(
+            (blocks.servers[g].astype(float), (j, np.arange(n))),
+            shape=(blocks.n_targets, n),
+        )
+        a_eq = sparse.csr_matrix(
+            (np.ones(n), (g, np.arange(n))), shape=(blocks.n_groups, n)
+        )
+        full = linprog(
+            blocks.cost[g, j], A_ub=a_ub, b_ub=blocks.capacities,
+            A_eq=a_eq, b_eq=np.ones(blocks.n_groups), bounds=(0.0, None),
+            method="highs",
+        )
+        assert full.status == 0
+        assert final.objective == pytest.approx(full.fun, rel=1e-7)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.lp.master import MasterSolution, RestrictedMasterLP
+from repro.lp.revised_simplex import BASIC, solve_bounded_lp
 
 
 def make_master(capacities=(100.0, 80.0), n_groups=2, big=1e6):
@@ -114,6 +116,62 @@ class TestMasterSolve:
         solution = master.solve()
         assert solution.status == "optimal"
         assert solution.artificial_weight > 0.5
+
+
+def random_pool(seed: int, tight: bool):
+    """A seeded master: a seed column per group, then extra columns.
+
+    Every fifth group's seed column is bigger than its site's whole
+    capacity, so it can never be crash-basic.  Returns the master and
+    those groups.
+    """
+    rng = np.random.default_rng(seed)
+    n_groups, n_targets = int(rng.integers(4, 40)), int(rng.integers(2, 8))
+    loads = rng.uniform(1.0, 20.0, size=n_groups)
+    sites = rng.integers(0, n_targets, size=n_groups)
+    per_site = np.bincount(sites, weights=loads, minlength=n_targets)
+    scale = rng.uniform(0.3, 0.8) if tight else rng.uniform(1.5, 3.0)
+    capacities = np.maximum(per_site * scale, 25.0)
+    master = make_master(capacities=capacities, n_groups=n_groups, big=1e5)
+    too_big = set(range(0, n_groups, 5))
+    for g in range(n_groups):
+        j = int(sites[g])
+        load = capacities[j] + 1.0 if g in too_big else loads[g]
+        master.add_column(g, j, float(rng.uniform(10.0, 50.0)), float(load))
+    for _ in range(int(rng.integers(0, 3 * n_groups))):
+        g, j = int(rng.integers(n_groups)), int(rng.integers(n_targets))
+        master.add_column(g, j, float(rng.uniform(10.0, 80.0)), float(loads[g]))
+    return master, too_big
+
+
+class TestCrashStart:
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_crash_basis_is_feasible_and_reaches_the_cold_optimum(self, seed, tight):
+        master, too_big = random_pool(seed, tight)
+        ncols = master.n_columns
+        family = master._family()
+        lb, ub = np.zeros(ncols), np.ones(ncols)
+        basis, vstat = master._crash_basis(ncols)
+        # Group g's convexity row is basic on exactly one of its columns;
+        # a seed that cannot fit leaves the group on its artificial.
+        basic = basis[basis < ncols]
+        assert sorted(master.col_group[i] for i in basic) == list(range(master.n_groups))
+        for g in too_big:
+            assert g in basic
+        assert (vstat[basis] == BASIC).all()
+
+        crashed = solve_bounded_lp(family, lb, ub, warm=(basis, vstat))
+        cold = solve_bounded_lp(family, lb, ub, warm=None)
+        assert crashed.status == cold.status == "optimal"
+        assert crashed.warm_started
+        assert crashed.phase1_iterations == 0
+        assert crashed.objective == pytest.approx(cold.objective, rel=1e-9)
+
+        first = master.solve()
+        assert first.status == "optimal"
+        assert not first.warm_started
+        assert first.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 def pytest_approx(value, rel=1e-6):

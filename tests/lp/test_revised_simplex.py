@@ -111,6 +111,80 @@ class TestBoundFlips:
         assert res.bound_flips >= 1
 
 
+def _fixed_column_lp(rng, n, m_ub, m_eq, n_fixed, boxed):
+    """A feasible LP whose first ``n_fixed`` columns have ``lb == ub``.
+
+    Rows hold through a known point ``x0``: equalities exactly, ``<=``
+    rows with slack.  ``boxed=False`` leaves the other columns
+    ``[0, inf)``, so only fixed columns could ever bound-flip.
+    """
+    lb = np.zeros(n)
+    ub = rng.uniform(0.5, 2.0, size=n) if boxed else np.full(n, np.inf)
+    lb[:n_fixed] = ub[:n_fixed] = rng.uniform(0.2, 1.5, size=n_fixed)
+    x0 = rng.uniform(0.1, 1.0, size=n)
+    x0 = np.where(np.isfinite(ub), x0 * ub, x0)
+    x0[:n_fixed] = lb[:n_fixed]
+    a_ub = rng.normal(size=(m_ub, n))
+    a_eq = rng.uniform(0.1, 1.0, size=(m_eq, n))
+    b_ub = a_ub @ x0 + rng.uniform(0.1, 1.0, size=m_ub)
+    b_eq = a_eq @ x0
+    return a_ub, b_ub, a_eq, b_eq, lb, ub
+
+
+class TestFixedColumns:
+    """Columns with ``lb == ub`` are never priced, in either phase."""
+
+    def test_attractive_fixed_columns_never_flip(self):
+        rng = np.random.default_rng(11)
+        n, n_fixed = 9, 3
+        a_ub, b_ub, a_eq, b_eq, lb, ub = _fixed_column_lp(
+            rng, n, 3, 2, n_fixed, boxed=False
+        )
+        c = rng.uniform(1.0, 3.0, size=n)
+        c[:n_fixed] = -100.0  # would enter at once if priced
+        lp = _family(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        res = solve_bounded_lp(lp, lb, ub)
+        assert res.status == "optimal"
+        assert res.bound_flips == 0
+        np.testing.assert_array_equal(res.x[:n_fixed], lb[:n_fixed])
+
+        fixed = lb[:n_fixed]
+        sub = _family(
+            c[n_fixed:],
+            a_ub=a_ub[:, n_fixed:], b_ub=b_ub - a_ub[:, :n_fixed] @ fixed,
+            a_eq=a_eq[:, n_fixed:], b_eq=b_eq - a_eq[:, :n_fixed] @ fixed,
+        )
+        ref = solve_bounded_lp(sub, lb[n_fixed:], ub[n_fixed:])
+        assert ref.status == "optimal"
+        np.testing.assert_allclose(res.x[n_fixed:], ref.x, rtol=1e-9, atol=1e-9)
+        assert res.objective == pytest.approx(
+            ref.objective + c[:n_fixed] @ fixed, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_highs_with_fixed_columns_and_equalities(self, seed):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 30))
+        m_ub, m_eq = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        n_fixed = int(rng.integers(1, n // 2))
+        a_ub, b_ub, a_eq, b_eq, lb, ub = _fixed_column_lp(
+            rng, n, m_ub, m_eq, n_fixed, boxed=True
+        )
+        c = rng.normal(size=n)
+        c[:n_fixed] -= 10.0
+        lp = _family(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        res = solve_bounded_lp(lp, lb, ub)
+        ref = linprog(
+            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=list(zip(lb, ub)), method="highs",
+        )
+        assert ref.status == 0
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        np.testing.assert_array_equal(res.x[:n_fixed], lb[:n_fixed])
+
+
 class TestWarmStart:
     def _kw(self):
         rng = np.random.default_rng(77)
