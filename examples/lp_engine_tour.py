@@ -61,7 +61,7 @@ def main() -> None:
     print(f"model: {model}\n")
 
     print("backends:")
-    for backend in ("highs", "branch_bound", "rounding"):
+    for backend in ("highs", "branch_bound"):
         sol = solve(model, backend=backend)
         print(f"  {backend:<14} {sol.status.value:<10} obj={sol.objective:.1f}")
     cut = solve(

@@ -65,7 +65,7 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default="auto",
-        help="solver backend: auto, highs, branch_bound, rounding",
+        help="solver backend: auto, highs, branch_bound",
     )
     parser.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     parser.add_argument("--mip-gap", type=float, default=None, metavar="FRACTION")

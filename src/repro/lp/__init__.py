@@ -12,11 +12,13 @@ stack the paper builds on (Python modeling layer + CPLEX).  Typical use::
     prob.set_objective(-(2 * x + 3 * y))
     solution = solve(prob, backend="branch_bound")
 
-Backends (:func:`available_backends`): ``highs``, ``branch_bound``,
-``rounding`` and ``auto``.  The from-scratch backends solve every LP
-relaxation through one path, :class:`~repro.lp.matrix_lp.RelaxationContext`:
-array presolve, then the sparse revised simplex (warm nodes re-enter
-through the dual simplex) or HiGHS, per ``SolveOptions.relaxation_engine``.
+Backends (:func:`available_backends`): ``auto``, ``branch_bound`` and
+``highs``.  The from-scratch ``branch_bound`` solves every LP relaxation
+through one path, :class:`~repro.lp.matrix_lp.RelaxationContext`: array
+presolve, then the sparse revised simplex (warm nodes re-enter through
+the dual simplex) or HiGHS, per ``SolveOptions.relaxation_engine``.  Its
+root cut rows, implied bounds and knapsack covers alike, are appended to
+that same context.
 """
 
 from ..telemetry import SolveStats

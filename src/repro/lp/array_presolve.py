@@ -2,10 +2,9 @@
 
 The repository's one presolver.  It runs inside every
 :class:`~repro.lp.matrix_lp.RelaxationContext`, which the
-``branch_bound`` and ``rounding`` backends build.  HiGHS presolves
-inside its own call.  It works directly on the
-``(a_ub, b_ub, a_eq, b_eq, lb, ub)`` data that the context and
-:func:`~repro.lp.matrix_lp.solve_lp_arrays` already carry — ``a_ub``
+``branch_bound`` backend builds.  HiGHS presolves inside its own call.
+It works directly on the ``(a_ub, b_ub, a_eq, b_eq, lb, ub)`` data
+that the context already carries — ``a_ub``
 and ``a_eq`` are :class:`~repro.lp.sparse.CSCMatrix` blocks, and each
 round is a handful of vectorized scatters over their entry arrays:
 O(nnz), no Python per-row loops.

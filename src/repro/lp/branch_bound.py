@@ -4,7 +4,8 @@ Nodes carry only bound arrays; the shared constraint matrices live in the
 root :class:`~repro.lp.standard_form.MatrixForm`.  The search:
 
 * strengthens the root relaxation with implied-bound cuts
-  (:func:`~repro.lp.cuts.implied_bound_pairs`) appended to the node-LP
+  (:func:`~repro.lp.cuts.implied_bound_pairs`), plus knapsack covers
+  when ``cover_cut_rounds`` asks for them, appended to the node-LP
   context and re-solved warm through the dual simplex,
 * solves each node's LP relaxation (builtin simplex or HiGHS),
 * prunes by bound against the incumbent,
@@ -32,11 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..telemetry import GapPoint, SolveStats, emit_progress, metrics
-from .cuts import implied_bound_pairs
-from .matrix_lp import ArrayLPResult, RelaxationContext, solve_lp_arrays
+from .cuts import cuts_to_rows, implied_bound_pairs, separate_cuts
+from .matrix_lp import ArrayLPResult, RelaxationContext
 from .problem import Problem
 from .solution import Solution, SolveStatus
-from .sparse import CSCMatrix
 from .standard_form import MatrixForm, to_matrix_form
 
 #: Integrality tolerance: values this close to an integer are integral.
@@ -88,73 +88,52 @@ def _absorb_lp_detail(stats: SolveStats, relax) -> None:
     stats.pricing_passes += getattr(relax, "pricing_passes", 0)
     stats.bound_flips += getattr(relax, "bound_flips", 0)
     stats.dual_pivots += getattr(relax, "dual_pivots", 0)
-    stats.conversion_seconds += relax.conversion_seconds
     stats.relaxation_solve_seconds += relax.solve_seconds
 
 
-def _apply_root_cuts(
-    form,
-    integral: np.ndarray,
-    relaxation_engine: str,
-    rounds: int,
-    stats: SolveStats,
-) -> None:
-    """Strengthen the root relaxation with knapsack cover cuts in place."""
-    from .cuts import cuts_to_rows, separate_cuts
-
-    for _ in range(rounds):
-        relax = solve_lp_arrays(
-            form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
-            form.lb, form.ub, engine=relaxation_engine,
-        )
-        _absorb_lp_detail(stats, relax)
-        if relax.status != "optimal":
-            return
-        if _most_fractional(relax.x, integral) is None:
-            return  # already integral: no point cutting
-        # The bound arrays prove which support columns are genuinely
-        # binary; cover cuts are invalid for general integers (ub > 1).
-        cuts = separate_cuts(
-            form.a_ub, form.b_ub, relax.x, integral, lb=form.lb, ub=form.ub
-        )
-        if not cuts:
-            return
-        extra_a, extra_b = cuts_to_rows(cuts, form.a_ub.shape[1])
-        form.a_ub = CSCMatrix.vstack(form.a_ub, extra_a)
-        form.b_ub = np.concatenate([form.b_ub, extra_b])
-        stats.cut_rounds += 1
-        stats.cuts_added += len(cuts)
-
-
-def _implied_bound_rounds(
+def _root_cut_rounds(
     context: RelaxationContext,
     form: MatrixForm,
     node: _Node,
     relax: ArrayLPResult,
     integral: np.ndarray,
+    cover_cut_rounds: int,
     stats: SolveStats,
 ) -> ArrayLPResult:
-    """Cut the optimal root relaxation with implied bounds; return the last.
+    """Cut the optimal root relaxation; return the last one.
 
-    Each round appends the pairs violated at the current root optimum
-    (:meth:`RelaxationContext.add_implied_bounds` skips the ones the
-    context already holds) and re-enters the dual simplex from the
-    root's basis bordered with the new slacks.  A re-solve that neither
-    proves optimality nor infeasibility leaves the previous relaxation
-    in place — a valid, weaker bound — with its token extended over the
-    appended rows so the children still start warm.
+    Each round appends, through the context, the implied-bound pairs
+    violated at the current root optimum (in the first
+    ``_IMPLIED_BOUND_ROUNDS`` rounds;
+    :meth:`RelaxationContext.add_implied_bounds` skips the ones the
+    context already holds) and the violated knapsack covers of the model
+    rows (in the first ``cover_cut_rounds`` rounds), then re-enters the
+    dual simplex from the root's basis bordered with the new slacks.
+    The loop stops on a round that appends nothing.  A re-solve that
+    neither proves optimality nor infeasibility leaves the previous
+    relaxation in place — a valid, weaker bound — with its token
+    extended over the appended rows so the children still start warm.
     """
     pairs = implied_bound_pairs(form.a_ub, form.b_ub, integral, form.lb, form.ub)
-    if not pairs.size:
-        return relax
-    for _ in range(_IMPLIED_BOUND_ROUNDS):
+    for round_index in range(max(_IMPLIED_BOUND_ROUNDS, cover_cut_rounds)):
         x = relax.x
-        violated = pairs[x[pairs[:, 0]] - x[pairs[:, 1]] > _CUT_VIOLATION]
-        added = context.add_implied_bounds(violated)
-        if not added.size:
+        added = 0
+        if round_index < _IMPLIED_BOUND_ROUNDS:
+            violated = pairs[x[pairs[:, 0]] - x[pairs[:, 1]] > _CUT_VIOLATION]
+            added += context.add_implied_bounds(violated, form.lb, form.ub).shape[0]
+        if round_index < cover_cut_rounds:
+            covers = separate_cuts(
+                form.a_ub, form.b_ub, x, integral, lb=form.lb, ub=form.ub
+            )
+            if covers:
+                context.add_cut_rows(
+                    *cuts_to_rows(covers, x.shape[0]), form.lb, form.ub
+                )
+                added += len(covers)
+        if not added:
             break
         stats.cut_rounds += 1
-        stats.cuts_added += added.shape[0]
+        stats.cuts_added += added
         warm = context.extend_warm_token(relax.warm_token)
         resolved = context.solve(node.lb, node.ub, warm=warm)
         _absorb_lp_detail(stats, resolved)
@@ -336,11 +315,12 @@ def solve_branch_and_bound(
     gap_tolerance:
         Terminate when ``incumbent - best_bound`` falls below this.
     cover_cut_rounds:
-        Cut-and-branch: up to this many rounds of knapsack cover cuts
-        are separated at the root before branching (0 disables).  Cuts
+        Cut-and-branch: knapsack cover cuts are separated in the first
+        this-many root cut rounds (0 disables).  Implied-bound cuts
+        (``x ≤ u`` from big-M rows) are separated at the root whatever
+        this is.  Both families are appended to the node-LP context and
         are valid for every integer point, so optimality is unaffected —
-        only the search tree shrinks.  Implied-bound cuts (``x ≤ u`` from
-        big-M rows) are separated at the root whatever this is.
+        only the search tree shrinks.
     max_iterations:
         Simplex pivot budget per node relaxation (builtin engine).
     warm_start:
@@ -353,10 +333,11 @@ def solve_branch_and_bound(
         bounds) and a :class:`RelaxationContext` standardized for the
         same constraint matrices.  The incremental solve layer passes
         both so successive refinement re-solves skip conversion and
-        standardization entirely.  ``context`` is ignored when cover
-        cuts are requested (cuts grow the row set mid-solve).  The root's
-        implied-bound cut rows are appended to ``context`` and stay
-        there: a later solve on it appends only pairs it does not hold.
+        standardization entirely.  The root's cut rows are appended to
+        ``context`` and stay there: a later solve on it appends only
+        implied-bound pairs it does not hold, and
+        :meth:`~repro.lp.matrix_lp.RelaxationContext.cuts_hold` tells
+        whether a later bound box still supports the held rows.
     basis_io:
         Optional dict used as a warm-state channel between successive
         solves: ``basis_io.get("root")`` seeds the root relaxation's
@@ -372,10 +353,6 @@ def solve_branch_and_bound(
         form = to_matrix_form(problem)
         stats.conversion_seconds += time.monotonic() - start
     integral = form.integrality.astype(bool)
-
-    if cover_cut_rounds > 0 and integral.any():
-        _apply_root_cuts(form, integral, relaxation_engine, cover_cut_rounds, stats)
-        context = None  # cut rows are not in any prebuilt standardization
 
     # One standardization per tree: every node below reuses the cached
     # constraint blocks and passes only its (lb, ub) deltas.  An external
@@ -541,8 +518,8 @@ def solve_branch_and_bound(
         stats.nodes_explored += 1
         _absorb_lp_detail(stats, relax)
         if node.depth == 0 and relax.status == "optimal" and integral.any():
-            relax = _implied_bound_rounds(
-                context, form, node, relax, integral, stats
+            relax = _root_cut_rounds(
+                context, form, node, relax, integral, cover_cut_rounds, stats
             )
         if node.depth == 0 and basis_io is not None:
             # Hand the root basis to the next incremental re-solve.

@@ -2,6 +2,11 @@
 
 Two families, both valid for every integer point and therefore free to
 append without changing the optimum — only the search tree shrinks.
+:func:`~repro.lp.branch_bound.solve_branch_and_bound` separates both in
+the same root rounds and appends them to the tree's
+:class:`~repro.lp.matrix_lp.RelaxationContext` (``add_cut_rows``),
+which records the bound facts each derivation below relies on: 0/1
+columns, and ``lb ≥ 0`` on a source row's positive columns.
 
 *Knapsack covers* (opt-in, ``cover_cut_rounds``).  The model is packed
 with knapsack rows (``Σ a_i x_i ≤ b`` over binaries — the capacity
@@ -72,6 +77,11 @@ def binary_mask(
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     return integral & (lb >= -_EPS) & (ub <= 1.0 + _EPS)
+
+
+def nonnegative_mask(lb: np.ndarray) -> np.ndarray:
+    """Columns bounded below by 0 (to the same tolerance as :func:`binary_mask`)."""
+    return np.asarray(lb, dtype=float) >= -_EPS
 
 
 def knapsack_rows(
@@ -195,12 +205,12 @@ def implied_bound_pairs(
     scanned as triplets, without a per-row loop).
     """
     binary = binary_mask(integral, lb, ub)
-    lb = np.asarray(lb, dtype=float)
+    nonneg = nonnegative_mask(lb)
     m = a_ub.shape[0]
     rows, cols, vals = a_ub.indices, a_ub.nnz_cols, a_ub.data
     neg = vals < 0.0
     neg_count = np.bincount(rows[neg], minlength=m)
-    unbounded_pos = np.bincount(rows[~neg & (lb[cols] < -_EPS)], minlength=m)
+    unbounded_pos = np.bincount(rows[~neg & ~nonneg[cols]], minlength=m)
     u_of_row = np.zeros(m, dtype=np.int64)
     u_of_row[rows[neg]] = cols[neg]
     source = (neg_count == 1) & (unbounded_pos == 0) & binary[u_of_row]

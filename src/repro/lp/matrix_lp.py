@@ -14,8 +14,7 @@ with one of two engines:
 The hot path is :class:`RelaxationContext`: one context per B&B tree
 presolves and assembles its engine's base data **once**, each node solve
 only varies the bound arrays, and a parent node's optimal basis and
-nonbasic-status vector warm-start the child.  :func:`solve_lp_arrays`
-is the one-shot convenience wrapper (it builds a throwaway context).
+nonbasic-status vector warm-start the child.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from ..telemetry import metrics
 from .array_presolve import presolve_arrays
-from .cuts import implied_bound_rows
+from .cuts import binary_mask, implied_bound_rows, nonnegative_mask
 from .dual_simplex import solve_bounded_lp_dual
 from .revised_simplex import (
     SparseBoundedLP,
@@ -48,12 +47,10 @@ class ArrayLPResult:
 
     The pivot-level counters are only populated by the builtin simplex
     engine; HiGHS reports a flat iteration count.  ``solve_seconds`` is
-    the pivoting time; ``conversion_seconds`` (presolve and family
-    build) is filled only by the one-shot :func:`solve_lp_arrays`, since
-    a held :class:`RelaxationContext` accumulates its own.
-    ``warm_token`` is an opaque value that can be passed back to
-    :meth:`RelaxationContext.solve` as ``warm`` to warm-start a child
-    node from this solve's basis.
+    the pivoting time (presolve and family build accumulate on the
+    :class:`RelaxationContext`).  ``warm_token`` is an opaque value that
+    can be passed back to :meth:`RelaxationContext.solve` as ``warm`` to
+    warm-start a child node from this solve's basis.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded" | "error"
@@ -70,7 +67,6 @@ class ArrayLPResult:
     bound_flips: int = 0
     dual_pivots: int = 0
     message: str = ""
-    conversion_seconds: float = 0.0
     solve_seconds: float = 0.0
     warm_started: bool = False
     warm_token: tuple | None = None
@@ -191,7 +187,8 @@ class RelaxationContext:
         self.root_lb = np.array(lb, dtype=float, copy=True)
         self.root_ub = np.array(ub, dtype=float, copy=True)
         self._integrality = (
-            None if integrality is None else np.asarray(integrality).astype(bool)
+            np.zeros(self.c.shape[0], dtype=bool) if integrality is None
+            else np.asarray(integrality).astype(bool)
         )
 
         self.conversion_seconds = 0.0
@@ -219,6 +216,10 @@ class RelaxationContext:
         #: holds; a context that outlives one tree (the solve cache's)
         #: must never receive the same cut row twice.
         self.implied_pairs = np.zeros((0, 2), dtype=np.int64)
+        # Columns whose 0/1 box and whose ``lb ≥ 0`` some held cut row
+        # was derived under (see add_cut_rows / cuts_hold).
+        self._cut_binary = np.zeros(self.c.shape[0], dtype=bool)
+        self._cut_nonneg = np.zeros(self.c.shape[0], dtype=bool)
 
         self._factor_pool: dict[bytes, np.ndarray] = {}
         self._presolve_infeasible = False
@@ -381,12 +382,40 @@ class RelaxationContext:
         self._presolve_extension()
         self.conversion_seconds += time.perf_counter() - start
 
-    def add_implied_bounds(self, pairs: np.ndarray) -> np.ndarray:
+    def add_cut_rows(
+        self, a: CSCMatrix, b: np.ndarray, lb: np.ndarray, ub: np.ndarray
+    ) -> None:
+        """Append cut rows derived under the bound box ``(lb, ub)``.
+
+        A cut is valid for every integer point of the model it was
+        derived from, and appended model rows only shrink that set; but
+        the derivations read two facts from the box: which columns are
+        0/1 and which have ``lb ≥ 0``.  Both are recorded here, so a
+        context that outlives its tree can tell (:meth:`cuts_hold`)
+        when a later box no longer supports the rows it holds.
+        """
+        self.extend_rows(a, b)
+        self._cut_binary |= binary_mask(self._integrality, lb, ub)
+        self._cut_nonneg |= nonnegative_mask(lb)
+
+    def cuts_hold(self, lb: np.ndarray, ub: np.ndarray) -> bool:
+        """Whether every held cut row stays valid under the box ``(lb, ub)``."""
+        binary = binary_mask(self._integrality, lb, ub)
+        return bool(
+            binary[self._cut_binary].all()
+            and nonnegative_mask(lb)[self._cut_nonneg].all()
+        )
+
+    def add_implied_bounds(
+        self, pairs: np.ndarray, lb: np.ndarray, ub: np.ndarray
+    ) -> np.ndarray:
         """Append ``x − u ≤ 0`` rows for the pairs not already held.
 
-        Returns the pairs actually appended (possibly none); they join
-        :attr:`implied_pairs` in the same step as their rows, so the
-        memory and the row set cannot drift apart.
+        ``(lb, ub)`` is the box the pairs were derived under (see
+        :meth:`add_cut_rows`).  Returns the pairs actually appended
+        (possibly none); they join :attr:`implied_pairs` in the same
+        step as their rows, so the memory and the row set cannot drift
+        apart.
         """
         n = self.c.shape[0]
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -396,7 +425,7 @@ class RelaxationContext:
                 ~np.isin(pairs[:, 0] * n + pairs[:, 1], held[:, 0] * n + held[:, 1])
             ]
         if pairs.size:
-            self.extend_rows(*implied_bound_rows(pairs, n))
+            self.add_cut_rows(*implied_bound_rows(pairs, n), lb, ub)
             self.implied_pairs = np.concatenate([held, pairs])
         return pairs
 
@@ -653,31 +682,3 @@ class RelaxationContext:
             return result
         return self._solve_revised(lb, ub, warm)
 
-
-def solve_lp_arrays(
-    c: np.ndarray,
-    a_ub: CSCMatrix,
-    b_ub: np.ndarray,
-    a_eq: CSCMatrix,
-    b_eq: np.ndarray,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    engine: str = "highs",
-    max_iterations: int = 20000,
-) -> ArrayLPResult:
-    """Solve the bounded-variable LP with the requested engine.
-
-    One-shot convenience wrapper over :class:`RelaxationContext`; callers
-    with many same-structure solves should hold a context instead.
-    Infeasible bound pairs (``lb > ub``) short-circuit to infeasible —
-    branch-and-bound produces those routinely when fixing binaries.
-    """
-    if (lb > ub + 1e-12).any():
-        return ArrayLPResult("infeasible", None, np.nan)
-    context = RelaxationContext(
-        c, a_ub, b_ub, a_eq, b_eq, lb, ub,
-        engine=engine, max_iterations=max_iterations,
-    )
-    result = context.solve()
-    result.conversion_seconds = context.conversion_seconds
-    return result

@@ -2,7 +2,7 @@
 
 Historically every backend took ``**options`` and silently dropped the
 flags it did not understand (``mip_rel_gap`` on ``branch_bound``,
-``cover_cut_rounds`` on ``rounding``, ...).  :class:`SolveOptions` is the
+``cover_cut_rounds`` on ``highs``, ...).  :class:`SolveOptions` is the
 replacement: a frozen dataclass carrying every knob any backend accepts,
 plus a per-backend capability table so :func:`SolveOptions.validate_for`
 can reject an option the chosen backend would ignore.  Built-in
@@ -35,14 +35,15 @@ class SolveOptions:
         optimality.
     max_iterations:
         Simplex pivot budget per LP relaxation on the builtin engine
-        (``branch_bound``, ``rounding``).
+        (``branch_bound``).
     relaxation_engine:
-        Which LP engine solves relaxations (``branch_bound``,
-        ``rounding``): ``"highs"`` or ``"builtin"`` (the sparse revised
-        simplex, re-entering warm nodes through the dual simplex).
-        Both run the array presolve once per tree.
+        Which LP engine solves relaxations (``branch_bound``):
+        ``"highs"`` or ``"builtin"`` (the sparse revised simplex,
+        re-entering warm nodes through the dual simplex).  Both run the
+        array presolve once per tree.
     cover_cut_rounds:
-        Rounds of root knapsack cover cuts (``branch_bound``).
+        Root cut rounds that also separate knapsack cover cuts
+        (``branch_bound``).
     warm_start:
         Variable-name → value hint from a previous, closely related
         solve.  ``branch_bound`` seeds its incumbent from it when the
@@ -137,7 +138,6 @@ BACKEND_OPTION_FIELDS: dict[str, frozenset[str]] = {
             "warm_start",
         }
     ),
-    "rounding": frozenset({"relaxation_engine", "max_iterations", "warm_start"}),
     "auto": frozenset(
         {
             "time_limit",

@@ -9,8 +9,6 @@ Backends:
     Our from-scratch best-first B&B over LP relaxations (exact); a pure
     LP is one root relaxation, so with ``relaxation_engine="builtin"``
     this is also the from-scratch LP solver.
-``rounding``
-    Relax-and-round heuristic (feasible, not optimal).
 ``auto``
     ``highs`` when available, else ``branch_bound[builtin]``.
 
@@ -51,7 +49,6 @@ from .fingerprint import (
 from .matrix_lp import RelaxationContext
 from .options import SolveOptions
 from .problem import Problem
-from .rounding import solve_with_rounding
 from .solution import Solution
 from .sparse import CSCMatrix, constraint_blocks, objective_arrays
 from .standard_form import to_matrix_form
@@ -96,10 +93,6 @@ def _solve_highs(problem: Problem, options: SolveOptions) -> Solution:
     )
 
 
-def _solve_rounding(problem: Problem, options: SolveOptions) -> Solution:
-    return solve_with_rounding(problem, engine=options.relaxation_engine)
-
-
 def _solve_auto(problem: Problem, options: SolveOptions) -> Solution:
     try:
         return _solve_highs(problem, options)
@@ -113,7 +106,6 @@ def _solve_auto(problem: Problem, options: SolveOptions) -> Solution:
 _BACKENDS: dict[str, Callable[..., Solution]] = {
     "highs": _solve_highs,
     "branch_bound": _solve_branch_bound,
-    "rounding": _solve_rounding,
     "auto": _solve_auto,
 }
 
@@ -187,6 +179,13 @@ def solve(
         elapsed_seconds=time.monotonic() - start,
     )
     return solution
+
+
+def _bound_arrays(variables) -> tuple[np.ndarray, np.ndarray]:
+    """``(lb, ub)`` arrays of ``variables``, infinite where unbounded."""
+    lb = np.array([-np.inf if v.lb is None else v.lb for v in variables])
+    ub = np.array([np.inf if v.ub is None else v.ub for v in variables])
+    return lb, ub
 
 
 class SolveCache:
@@ -332,12 +331,7 @@ class SolveCache:
         self._solutions[fingerprint] = solution
         self._last = solution
         self._snap_vars = list(problem.variables)
-        self._snap_lb = np.array(
-            [-np.inf if v.lb is None else v.lb for v in self._snap_vars]
-        )
-        self._snap_ub = np.array(
-            [np.inf if v.ub is None else v.ub for v in self._snap_vars]
-        )
+        self._snap_lb, self._snap_ub = _bound_arrays(self._snap_vars)
         self._snap_constraints = list(problem.constraints)
         self._snap_objective = problem.objective
 
@@ -370,8 +364,7 @@ class SolveCache:
         for con, snap in zip(constraints, self._snap_constraints):
             if con is not snap:
                 return None
-        lb = np.array([-np.inf if v.lb is None else v.lb for v in variables])
-        ub = np.array([np.inf if v.ub is None else v.ub for v in variables])
+        lb, ub = _bound_arrays(variables)
         if (lb < self._snap_lb - 1e-12).any() or (ub > self._snap_ub + 1e-12).any():
             return None  # some bound loosened: region grew, optimum may move
         x = np.array([last.value(v, 0.0) for v in variables])
@@ -396,24 +389,6 @@ class SolveCache:
             return None
         return self._last.as_name_dict()
 
-    def _refresh_form_bounds(self, problem: Problem) -> None:
-        """Refresh the cached form's variables and bound arrays.
-
-        Re-reads variables from the live problem: bounds are taken from
-        it, and ``Solution.values`` must be keyed by *its* Variable
-        objects.  Bound moves between finite values never break any
-        cached standardization (every model variable here has a finite
-        lower bound), so the context survives the whole session.
-        """
-        form = self._form
-        form.variables = problem.variables
-        form.lb = np.array(
-            [-np.inf if v.lb is None else v.lb for v in form.variables]
-        )
-        form.ub = np.array(
-            [np.inf if v.ub is None else v.ub for v in form.variables]
-        )
-
     def _reuse_or_extend(self, problem: Problem):
         """Reuse the cached context, extending it in place when possible.
 
@@ -425,8 +400,12 @@ class SolveCache:
         appended to the context (inequalities only — an equality append
         would splice into the middle of the standardized slack stack);
         an objective that changed content is swapped in place when the
-        sign survives.  Returns ``(form, context, basis_io)`` or ``None``
-        when only a full rebuild is sound.
+        sign survives.  Bound moves never break the cached
+        standardization, but the context's cut rows were derived under
+        the box of earlier solves: a live box that no longer supports
+        them (:meth:`~repro.lp.matrix_lp.RelaxationContext.cuts_hold`)
+        forces a rebuild.  Returns ``(form, context, basis_io)`` or
+        ``None`` when only a full rebuild is sound.
         """
         variables = problem.variables
         if self._ctx_vars is None or len(variables) != len(self._ctx_vars):
@@ -435,6 +414,9 @@ class SolveCache:
             if var is not old:
                 return None
         if problem.sense != self._ctx_sense:
+            return None
+        lb, ub = _bound_arrays(variables)
+        if not self._context.cuts_hold(lb, ub):
             return None
         constraints = problem.constraints
         ctx_rows = self._ctx_constraints
@@ -510,7 +492,10 @@ class SolveCache:
             metrics.increment("incremental.objective_swapped")
         self._ctx_objective = problem.objective
 
-        self._refresh_form_bounds(problem)
+        # The form takes the live problem's variables (``Solution.values``
+        # must be keyed by *its* Variable objects) and bounds.
+        form.variables = variables
+        form.lb, form.ub = lb, ub
         if appended or swap is not None:
             return form, context, self._basis_io
         self.context_reuses += 1
@@ -519,8 +504,6 @@ class SolveCache:
 
     def _context_for(self, problem: Problem, options: SolveOptions):
         """(form, context, basis_io) for a branch_bound solve, reusing when safe."""
-        if options.cover_cut_rounds > 0:
-            return None, None, None  # cuts mutate the row set; no reuse
         opt_key = options.relaxation_engine
         if self._context is not None and self._ctx_opt_key == opt_key:
             reused = self._reuse_or_extend(problem)

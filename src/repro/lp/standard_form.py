@@ -2,7 +2,7 @@
 
 :func:`to_matrix_form` gives the natural inequality form
 (``A_ub x <= b_ub``, ``A_eq x = b_eq`` plus bounds) that the
-``branch_bound`` and ``rounding`` backends consume.  The blocks are
+``branch_bound`` backend consumes.  The blocks are
 :class:`~repro.lp.sparse.CSCMatrix` views built straight from the
 shared sparse assembly (:func:`repro.lp.sparse.constraint_blocks`) —
 the same traversal the HiGHS backend and the fingerprint layer

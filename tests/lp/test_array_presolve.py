@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.lp.array_presolve import presolve_arrays
-from repro.lp.matrix_lp import solve_lp_arrays
+from repro.lp.matrix_lp import RelaxationContext
 from repro.lp.sparse import CSCMatrix
 
 NO_EQ = dict(a_eq=CSCMatrix.from_dense(np.zeros((0, 2))), b_eq=np.zeros(0))
@@ -142,30 +142,30 @@ class TestOptimumPreservation:
         no_eq = CSCMatrix.from_dense(np.zeros((0, n)))
         kw = dict(c=c, a_ub=CSCMatrix.from_dense(a_ub), b_ub=b_ub, a_eq=no_eq,
                   b_eq=np.zeros(0), lb=lb, ub=ub)
-        raw = solve_lp_arrays(engine="highs", **kw)
+        raw = RelaxationContext(engine="highs", **kw).solve()
 
         res = presolve_arrays(**kw)
         if res.infeasible:
             assert raw.status == "infeasible"
             return
-        red = solve_lp_arrays(
+        red = RelaxationContext(
             engine="highs", c=c,
             a_ub=CSCMatrix.from_dense(a_ub[res.keep_ub]), b_ub=b_ub[res.keep_ub],
             a_eq=no_eq, b_eq=np.zeros(0),
             lb=res.lb, ub=res.ub,
-        )
+        ).solve()
         assert red.status == raw.status
         if raw.status == "optimal":
             assert red.objective == pytest.approx(
                 raw.objective, rel=1e-6, abs=1e-6
             )
         # The builtin engine on the reduced arrays agrees too.
-        bres = solve_lp_arrays(
+        bres = RelaxationContext(
             engine="builtin", c=c,
             a_ub=CSCMatrix.from_dense(a_ub[res.keep_ub]), b_ub=b_ub[res.keep_ub],
             a_eq=no_eq, b_eq=np.zeros(0),
             lb=res.lb, ub=res.ub,
-        )
+        ).solve()
         assert bres.status == raw.status
         if raw.status == "optimal":
             assert bres.objective == pytest.approx(

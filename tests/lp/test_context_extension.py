@@ -7,7 +7,7 @@ import pytest
 
 from repro.lp import Problem, SolveStatus, quicksum
 from repro.lp.branch_bound import solve_branch_and_bound
-from repro.lp.matrix_lp import RelaxationContext, solve_lp_arrays
+from repro.lp.matrix_lp import RelaxationContext
 from repro.lp.options import SolveOptions
 from repro.lp.revised_simplex import (
     BASIC,
@@ -124,13 +124,13 @@ class TestContextExtension:
         ctx.extend_rows(a_app, b_app)
         assert ctx.row_extensions == 1
         res = ctx.solve(warm=ctx.extend_warm_token(root.warm_token))
-        fresh = solve_lp_arrays(
+        fresh = RelaxationContext(
             engine="highs",
             c=kw["c"],
             a_ub=CSCMatrix.vstack(kw["a_ub"], a_app),
             b_ub=np.concatenate([kw["b_ub"], b_app]),
             a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=kw["lb"], ub=kw["ub"],
-        )
+        ).solve()
         assert res.status == fresh.status == "optimal"
         assert res.objective == pytest.approx(fresh.objective, abs=1e-8)
         np.testing.assert_allclose(res.x, fresh.x, atol=1e-7)

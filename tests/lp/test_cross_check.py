@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lp.matrix_lp import ArrayLPResult, RelaxationContext, solve_lp_arrays
+from repro.lp.matrix_lp import ArrayLPResult, RelaxationContext
 from repro.lp.revised_simplex import SparseBoundedLP, solve_bounded_lp
 from repro.lp.sparse import CSCMatrix
 
@@ -28,7 +28,7 @@ def _solve_arrays(engine: str, **kw):
     """One cold solve: the tableau arm runs the test-suite oracle."""
     if engine == "tableau":
         return solve_lp_arrays_reference(**dense_arrays(kw))
-    return solve_lp_arrays(engine=engine, **kw)
+    return RelaxationContext(engine=engine, **kw).solve()
 
 
 def _random_instance(seed: int) -> dict:
@@ -118,10 +118,10 @@ def test_warm_started_children_agree_with_highs(seed, engine):
         else:
             ub[j] = mid
         child = solve_child(lb, ub)
-        ref = solve_lp_arrays(
+        ref = RelaxationContext(
             engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
             a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb, ub=ub,
-        )
+        ).solve()
         assert child.status == ref.status
         if ref.status == "optimal":
             assert child.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-6)
@@ -166,10 +166,10 @@ def test_revised_warm_chains_stay_consistent(seed, node_resolve):
         else:
             ub[j] = mid
         child = solve_node(lb, ub, warm=node.warm_token)
-        ref = solve_lp_arrays(
+        ref = RelaxationContext(
             engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
             a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb, ub=ub,
-        )
+        ).solve()
         assert child.status == ref.status
         if child.status != "optimal":
             break
@@ -222,10 +222,10 @@ def test_dual_children_match_tableau_and_highs(seed):
             _assert_feasible(child.x, kw, lb=lb1, ub=ub1)
             lb2, ub2 = tighten(lb1, ub1)
             grand = dual_ctx.solve(lb2, ub2, warm=child.warm_token)
-            ref = solve_lp_arrays(
+            ref = RelaxationContext(
                 engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
                 a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb2, ub=ub2,
-            )
+            ).solve()
             assert grand.status == ref.status
             if ref.status == "optimal":
                 assert grand.objective == pytest.approx(

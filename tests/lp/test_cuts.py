@@ -1,4 +1,4 @@
-"""Knapsack cover cuts: separation and cut-and-branch integration."""
+"""Root cuts: cover separation, cut-and-branch, and cut rows in a cached context."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lp import Problem, SolveOptions, SolveStatus, quicksum, solve
+from repro.core import ConsolidationModel
+from repro.core.incremental import Directive, RevisionedModel
+from repro.datasets import load_enterprise1
+from repro.lp import Problem, SolveCache, SolveOptions, SolveStatus, quicksum, solve
 from repro.lp.branch_bound import solve_branch_and_bound
 from repro.lp.cuts import (
     CoverCut,
@@ -16,6 +19,7 @@ from repro.lp.cuts import (
     separate_cuts,
 )
 from repro.lp.sparse import CSCMatrix
+from repro.lp.standard_form import to_matrix_form
 
 
 class TestCoverCut:
@@ -208,3 +212,140 @@ def test_cut_and_branch_never_changes_the_optimum(weights, values, seed):
     plain = solve_branch_and_bound(p)
     cut = solve_branch_and_bound(p, cover_cut_rounds=4)
     assert plain.objective == pytest.approx(cut.objective, abs=1e-6)
+
+
+class TestCoverCutsRideTheContext:
+    def test_second_solve_reuses_the_context_and_its_cover_rows(self):
+        # x0 (the lowest value) starts fixed to 0; freeing it again moves
+        # no cover, so the re-solve must reuse the context, cuts and all.
+        p = hard_knapsack()
+        x0 = p.variables[0]
+        x0.ub = 0.0
+        cache = SolveCache()
+        options = SolveOptions(relaxation_engine="builtin", cover_cut_rounds=3)
+        first = solve(p, backend="branch_bound", options=options, cache=cache)
+        context = cache._context
+        rows = context.a_ub.shape[0]
+        assert first.stats.cuts_added > 0
+        x0.ub = 1.0
+        second = solve(p, backend="branch_bound", options=options, cache=cache)
+        assert cache._context is context
+        assert cache.context_reuses == 1
+        assert context.a_ub.shape[0] == rows
+        assert second.stats.cuts_added == 0
+        assert second.objective == pytest.approx(first.objective, abs=1e-9)
+
+    def test_caller_form_keeps_its_rows(self):
+        p = hard_knapsack()
+        form = to_matrix_form(p)
+        shape = form.a_ub.shape
+        sol = solve_branch_and_bound(
+            p, relaxation_engine="builtin", cover_cut_rounds=3, form=form
+        )
+        assert sol.stats.cuts_added > 0
+        assert form.a_ub.shape == shape
+        assert form.b_ub.shape == (shape[0],)
+
+    def test_consolidation_rows_make_covers_free(self):
+        # No capacity row of the consolidation model qualifies for
+        # covers, so asking for them must cost nothing at all.
+        problem = ConsolidationModel(load_enterprise1(scale=0.08)).problem
+        runs = [
+            solve(
+                problem, backend="branch_bound",
+                options=SolveOptions(relaxation_engine="builtin", cover_cut_rounds=r),
+            ).stats
+            for r in (0, 3)
+        ]
+        for field in ("lp_iterations", "nodes_explored", "cuts_added"):
+            assert getattr(runs[0], field) == getattr(runs[1], field), field
+
+
+def _implied_bound_case():
+    # 5x − 10u ≤ 2 implies the cut x ≤ u while x is 0/1; with x ≤ 2
+    # the point x = 2, u = 1 (objective −5) becomes feasible.
+    p = Problem()
+    x = p.add_binary("x")
+    u = p.add_binary("u")
+    p.add_constraint(5 * x - 10 * u <= 2)
+    p.set_objective(-3 * x + u)
+
+    def loosen():
+        x.ub = 2.0
+
+    return p, loosen, SolveOptions()
+
+
+def _nonnegative_case():
+    # 5x + y − 10u ≤ 2 implies x ≤ u while y ≥ 0; with y ≥ −5 the row
+    # admits x = 1, u = 0.
+    p = Problem()
+    x = p.add_binary("x")
+    y = p.add_variable("y", lb=0.0, ub=10.0)
+    u = p.add_binary("u")
+    p.add_constraint(5 * x + y - 10 * u <= 2)
+    p.set_objective(-3 * x + u + 0.01 * y)
+
+    def loosen():
+        y.lb = -5.0
+
+    return p, loosen, SolveOptions()
+
+
+def _cover_case():
+    # Σ 5 x_i + 3 d ≤ 12 yields covers while d is 0/1; with d ≥ −3 the
+    # row admits four items.
+    p = Problem()
+    xs = [p.add_binary(f"x{i}") for i in range(5)]
+    d = p.add_binary("d")
+    p.add_constraint(quicksum(5 * x for x in xs) + 3 * d <= 12)
+    p.set_objective(-quicksum((10 + i) * x for i, x in enumerate(xs)) - 0.5 * d)
+
+    def loosen():
+        d.lb = -3.0
+
+    return p, loosen, SolveOptions(cover_cut_rounds=3)
+
+
+@pytest.mark.parametrize("engine", ["builtin", "highs"])
+@pytest.mark.parametrize(
+    "case", [_implied_bound_case, _nonnegative_case, _cover_case],
+    ids=["x-ub-raised", "y-lb-lowered", "cover-d-lb-lowered"],
+)
+def test_cached_cut_rows_never_outlive_their_bounds(engine, case):
+    p, loosen, options = case()
+    options = options.replace(relaxation_engine=engine)
+    cache = SolveCache()
+    first = solve(p, backend="branch_bound", options=options, cache=cache)
+    assert first.status is SolveStatus.OPTIMAL
+    assert first.stats.cuts_added > 0
+    loosen()
+    cached = solve(p, backend="branch_bound", options=options, cache=cache)
+    fresh = solve(p, backend="branch_bound", options=options)
+    reference = solve(p, backend="highs")
+    assert cached.status is fresh.status is reference.status is SolveStatus.OPTIMAL
+    assert cached.objective == pytest.approx(reference.objective, abs=1e-9)
+    assert fresh.objective == pytest.approx(reference.objective, abs=1e-9)
+    assert cached.objective < first.objective - 1.0
+
+
+def test_consolidation_replan_still_reuses_its_context():
+    # Pins keep binaries in [0, 1] and loads ≥ 0, so the cut check
+    # never forces a rebuild on a re-plan.
+    model = ConsolidationModel(load_enterprise1(scale=0.1))
+    engine = RevisionedModel(model)
+    cache = SolveCache()
+    options = SolveOptions(relaxation_engine="builtin", cover_cut_rounds=3)
+    base = solve(model.problem, backend="branch_bound", options=options, cache=cache)
+    assert base.stats.cuts_added > 0
+    group, site = next(
+        key for key, var in model.x.items() if base.value(var) < 0.5
+    )
+    engine.apply(Directive("pin", group=group, datacenter=site))
+    pinned = solve(model.problem, backend="branch_bound", options=options, cache=cache)
+    engine.pop()
+    undone = solve(model.problem, backend="branch_bound", options=options, cache=cache)
+    assert cache.context_reuses >= 1
+    assert cache.context_rebuilds == 1
+    assert pinned.value(model.x[group, site]) == pytest.approx(1.0)
+    assert undone.objective == base.objective

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.lp.dual_simplex import solve_bounded_lp_dual
-from repro.lp.matrix_lp import _solve_highs_arrays, solve_lp_arrays
+from repro.lp.matrix_lp import RelaxationContext, _solve_highs_arrays
 from repro.lp.revised_simplex import SparseBoundedLP, solve_bounded_lp
 from repro.lp.sparse import CSCMatrix
 
@@ -174,7 +174,7 @@ class TestArrayLPDuals:
         # the coupling row is left to price.
         if engine == "highs":
             pytest.importorskip("scipy")
-        res = solve_lp_arrays(engine=engine, **self.ARRAYS)
+        res = RelaxationContext(engine=engine, **self.ARRAYS).solve()
         assert res.status == "optimal"
         np.testing.assert_allclose(res.duals, [-2.0], atol=1e-7)
 

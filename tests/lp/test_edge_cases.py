@@ -15,7 +15,7 @@ from repro.lp import (
     solve,
 )
 from repro.lp.branch_bound import solve_branch_and_bound
-from repro.lp.matrix_lp import solve_lp_arrays
+from repro.lp.matrix_lp import RelaxationContext
 from repro.lp.sparse import CSCMatrix
 from repro.lp.standard_form import to_matrix_form
 
@@ -56,7 +56,7 @@ class TestSimplexLimits:
             lb=np.zeros(2),
             ub=np.array([3.0, 2.0]),
         )
-        res = solve_lp_arrays(engine="builtin", max_iterations=1, **kw)
+        res = RelaxationContext(engine="builtin", max_iterations=1, **kw).solve()
         assert res.status in ("error", "optimal")
 
 
@@ -115,7 +115,7 @@ class TestDegenerateModels:
         assert sol.objective == 0.0
 
     def test_single_variable_problem_all_backends(self):
-        for backend in ("highs", "branch_bound", "rounding"):
+        for backend in ("highs", "branch_bound"):
             p = Problem()
             x = p.add_binary("x")
             p.set_objective(-x)

@@ -152,7 +152,7 @@ class TestPersistentContextHoldsEachCutOnce:
         held = context.implied_pairs.copy()
         rows = context.a_ub.shape[0]
         assert held.shape[0] > 0
-        assert context.add_implied_bounds(held).shape == (0, 2)
+        assert context.add_implied_bounds(held, form.lb, form.ub).shape == (0, 2)
         assert context.a_ub.shape[0] == rows
         np.testing.assert_array_equal(context.implied_pairs, held)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lp.matrix_lp import solve_lp_arrays
+from repro.lp.matrix_lp import RelaxationContext
 from repro.lp.sparse import CSCMatrix
 
 
@@ -27,48 +27,48 @@ def arrays(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None):
 class TestEngines:
     def test_bounded_lp(self, engine):
         kw = arrays([-1.0, -2.0], a_ub=[[1, 1]], b_ub=[4], ub=[3, 2])
-        res = solve_lp_arrays(engine=engine, **kw)
+        res = RelaxationContext(engine=engine, **kw).solve()
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-6.0)
 
     def test_equality_rows(self, engine):
         kw = arrays([1.0, 1.0], a_eq=[[1, -1]], b_eq=[1], ub=[5, 5])
-        res = solve_lp_arrays(engine=engine, **kw)
+        res = RelaxationContext(engine=engine, **kw).solve()
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0)  # x=1, y=0
 
     def test_shifted_lower_bounds(self, engine):
         kw = arrays([1.0], lb=[2.0], ub=[9.0])
-        res = solve_lp_arrays(engine=engine, **kw)
+        res = RelaxationContext(engine=engine, **kw).solve()
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(2.0)
 
     def test_free_variable(self, engine):
         kw = arrays([1.0], a_ub=[[-1.0]], b_ub=[5.0],
                     lb=[-np.inf], ub=[np.inf])  # x >= -5
-        res = solve_lp_arrays(engine=engine, **kw)
+        res = RelaxationContext(engine=engine, **kw).solve()
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(-5.0)
 
     def test_infeasible(self, engine):
         kw = arrays([1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])  # x<=1, x>=2
-        res = solve_lp_arrays(engine=engine, **kw)
+        res = RelaxationContext(engine=engine, **kw).solve()
         assert res.status == "infeasible"
 
     def test_unbounded(self, engine):
         kw = arrays([-1.0])
-        res = solve_lp_arrays(engine=engine, **kw)
+        res = RelaxationContext(engine=engine, **kw).solve()
         assert res.status == "unbounded"
 
     def test_crossed_bounds_short_circuit(self, engine):
         kw = arrays([1.0], lb=[3.0], ub=[2.0])
-        res = solve_lp_arrays(engine=engine, **kw)
+        res = RelaxationContext(engine=engine, **kw).solve()
         assert res.status == "infeasible"
 
 
 def test_unknown_engine():
     with pytest.raises(ValueError):
-        solve_lp_arrays(engine="cplex", **arrays([1.0]))
+        RelaxationContext(engine="cplex", **arrays([1.0])).solve()
 
 
 bounded = st.floats(min_value=-4, max_value=4, allow_nan=False)
@@ -86,8 +86,8 @@ def test_builtin_matches_highs_on_random_bounded_lps(c, rows, seed):
     a_ub = rng.uniform(-2, 2, size=(rows, n))
     b_ub = rng.uniform(1, 5, size=rows)  # x=0 always feasible
     kw = arrays(c, a_ub=a_ub, b_ub=b_ub, ub=[3.0] * n)
-    ours = solve_lp_arrays(engine="builtin", **kw)
-    ref = solve_lp_arrays(engine="highs", **kw)
+    ours = RelaxationContext(engine="builtin", **kw).solve()
+    ref = RelaxationContext(engine="highs", **kw).solve()
     assert ours.status == ref.status == "optimal"
     assert ours.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-6)
 
@@ -107,7 +107,7 @@ class TestHighsIterationLimit:
             fun = None
 
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **kw: _Res())
-        res = solve_lp_arrays(engine="highs", **arrays([1.0]))
+        res = RelaxationContext(engine="highs", **arrays([1.0])).solve()
         assert res.status == "error"
         assert "iteration_limit" in res.message
         assert "Iteration limit reached" in res.message
@@ -125,6 +125,6 @@ class TestHighsIterationLimit:
             fun = None
 
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **kw: _Res())
-        res = solve_lp_arrays(engine="highs", **arrays([1.0]))
+        res = RelaxationContext(engine="highs", **arrays([1.0])).solve()
         assert res.status == "error"
         assert "numerical difficulties" in res.message

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.lp.expressions import Sense
-from repro.lp.matrix_lp import solve_lp_arrays
+from repro.lp.matrix_lp import RelaxationContext
 from repro.lp.problem import ObjectiveSense, Problem
 from repro.lp.sparse import (
     CSCMatrix,
@@ -143,7 +143,7 @@ class TestReferenceStandardization:
     def test_reference_solves_agree_with_revised_core(self, seed):
         kw = _random_instance(seed)
         ref = solve_lp_arrays_reference(**dense_arrays(kw))
-        rev = solve_lp_arrays(engine="builtin", **kw)
+        rev = RelaxationContext(engine="builtin", **kw).solve()
         assert ref.status == rev.status
         if ref.status == "optimal":
             assert rev.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-6)

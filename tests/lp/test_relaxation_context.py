@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lp.matrix_lp import RelaxationContext, solve_lp_arrays
+from repro.lp.matrix_lp import RelaxationContext
 from repro.lp.sparse import CSCMatrix
 
 from ..oracles.reference import dense_arrays, solve_lp_arrays_reference
@@ -29,7 +29,7 @@ class TestRootSolve:
         kw = problem()
         ctx = RelaxationContext(engine="builtin", **kw)
         cached = ctx.solve()
-        one_shot = solve_lp_arrays(engine="builtin", **kw)
+        one_shot = RelaxationContext(engine="builtin", **kw).solve()
         reference = solve_lp_arrays_reference(**dense_arrays(kw))
         assert cached.status == one_shot.status == reference.status == "optimal"
         assert cached.objective == pytest.approx(one_shot.objective)
@@ -60,10 +60,10 @@ class TestChildNodes:
             ub = kw["ub"].copy()
             lb[0], ub[0] = lo, hi
             cached = ctx.solve(lb, ub)
-            fresh = solve_lp_arrays(
+            fresh = RelaxationContext(
                 engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
                 a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb, ub=ub,
-            )
+            ).solve()
             assert cached.status == fresh.status == "optimal"
             assert cached.objective == pytest.approx(fresh.objective, abs=1e-8)
 
@@ -75,10 +75,10 @@ class TestChildNodes:
         lb = kw["lb"].copy()
         lb[1] = 2.0
         cached = ctx.solve(lb, kw["ub"])
-        fresh = solve_lp_arrays(
+        fresh = RelaxationContext(
             engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
             a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb, ub=kw["ub"],
-        )
+        ).solve()
         assert cached.status == fresh.status == "optimal"
         assert cached.objective == pytest.approx(fresh.objective, abs=1e-8)
         assert ctx.structural_rebuilds == 0
@@ -91,10 +91,10 @@ class TestChildNodes:
         lb = kw["lb"].copy()
         lb[2] = -np.inf
         res = ctx.solve(lb, kw["ub"])
-        fresh = solve_lp_arrays(
+        fresh = RelaxationContext(
             engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
             a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=lb, ub=kw["ub"],
-        )
+        ).solve()
         assert ctx.structural_rebuilds == 0
         assert res.status == fresh.status
         if fresh.status == "optimal":
@@ -139,10 +139,10 @@ class TestWarmTokens:
         child = ctx.solve(kw["lb"], ub, warm=root.warm_token)
         assert child.status == "optimal"
         assert child.warm_started
-        fresh = solve_lp_arrays(
+        fresh = RelaxationContext(
             engine="highs", c=kw["c"], a_ub=kw["a_ub"], b_ub=kw["b_ub"],
             a_eq=kw["a_eq"], b_eq=kw["b_eq"], lb=kw["lb"], ub=ub,
-        )
+        ).solve()
         assert child.objective == pytest.approx(fresh.objective, abs=1e-8)
 
 
@@ -162,8 +162,9 @@ class TestTelemetry:
 
     def test_per_result_timing_split(self):
         kw = problem()
-        res = solve_lp_arrays(engine="builtin", **kw)
-        assert res.conversion_seconds >= 0.0
+        ctx = RelaxationContext(engine="builtin", **kw)
+        res = ctx.solve()
+        assert ctx.conversion_seconds >= 0.0
         assert res.solve_seconds >= 0.0
 
     def test_revised_core_counters_populated(self):
@@ -183,7 +184,7 @@ class TestTelemetry:
 
     def test_tableau_engine_matches_revised(self):
         kw = problem()
-        rev = solve_lp_arrays(engine="builtin", **kw)
+        rev = RelaxationContext(engine="builtin", **kw).solve()
         tab = solve_lp_arrays_reference(**dense_arrays(kw))
         assert rev.status == tab.status == "optimal"
         assert rev.objective == pytest.approx(tab.objective, abs=1e-8)
@@ -194,7 +195,7 @@ class TestHighsEngineContext:
         kw = problem()
         ctx = RelaxationContext(engine="highs", **kw)
         res = ctx.solve()
-        ref = solve_lp_arrays(engine="highs", **kw)
+        ref = RelaxationContext(engine="highs", **kw).solve()
         assert res.status == ref.status == "optimal"
         assert res.objective == pytest.approx(ref.objective)
         assert ctx.node_solves == 1

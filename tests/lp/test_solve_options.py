@@ -28,8 +28,6 @@ class TestSolveOptionsValidation:
             opts.validate_for("branch_bound")
         with pytest.raises(ValueError, match="node_limit"):
             SolveOptions(node_limit=5).validate_for("highs")
-        with pytest.raises(ValueError, match="time_limit"):
-            SolveOptions(time_limit=1.0).validate_for("rounding")
 
     def test_error_lists_supported_options(self):
         with pytest.raises(ValueError, match="supported options"):

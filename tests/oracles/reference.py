@@ -121,16 +121,13 @@ def solve_lp_arrays_reference(
     """The pre-cache builtin node solve: full loop standardization + cold start.
 
     Oracle and benchmark baseline only — the library solves through
-    :class:`repro.lp.matrix_lp.RelaxationContext` /
-    :func:`repro.lp.matrix_lp.solve_lp_arrays`.
+    :class:`repro.lp.matrix_lp.RelaxationContext`.
     """
     if (lb > ub + 1e-12).any():
         return ArrayLPResult("infeasible", None, np.nan)
-    start = time.perf_counter()
     a, b, cost, plus, minus = _standardize_arrays_reference(
         c, a_ub, b_ub, a_eq, b_eq, lb, ub
     )
-    conversion = time.perf_counter() - start
     start = time.perf_counter()
     result = solve_standard_form(a, b, cost, max_iterations=max_iterations)
     solve_elapsed = time.perf_counter() - start
@@ -140,7 +137,7 @@ def solve_lp_arrays_reference(
             status, None, -np.inf if status == "unbounded" else np.nan,
             result.iterations,
             message="iteration_limit" if result.status == "iteration_limit" else "",
-            conversion_seconds=conversion, solve_seconds=solve_elapsed,
+            solve_seconds=solve_elapsed,
         )
     y = result.x
     n = c.shape[0]
@@ -156,5 +153,5 @@ def solve_lp_arrays_reference(
         phase2_iterations=result.phase2_iterations,
         bland_switches=result.bland_switches,
         degenerate_pivots=result.degenerate_pivots,
-        conversion_seconds=conversion, solve_seconds=solve_elapsed,
+        solve_seconds=solve_elapsed,
     )

@@ -68,9 +68,9 @@ class TestGlobalRegistry:
         p = Problem()
         x = p.add_variable("x", ub=1.0)
         p.set_objective(-x)
-        solve(p, backend="rounding")
+        solve(p, backend="branch_bound")
         assert metrics.counter("solves.total").value == before + 1
-        assert metrics.counter("solves.backend.rounding").value >= 1
+        assert metrics.counter("solves.backend.branch_bound").value >= 1
 
 
 class TestGauge:
