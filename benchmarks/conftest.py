@@ -11,8 +11,9 @@ solver throughput (solves/second) and the telemetry-counter deltas the
 module produced (solve cache hits, incremental shortcuts, service
 counters).  The record is assembled automatically by a module-scoped
 fixture; benchmarks with extra figures of merit merge them in through
-the ``archive_json`` fixture.  Each record is stamped with the commit
-and library versions that produced it and also appended, as one line,
+the ``archive_json`` fixture.  Each record is stamped with the commit,
+library versions, BLAS build and BLAS thread settings that produced it
+and also appended, as one line,
 to ``bench_results/history.jsonl``, so successive runs form a history
 instead of overwriting each other.
 """
@@ -48,19 +49,32 @@ def _git_sha() -> str:
 
 
 def _environment() -> dict:
-    """Commit, CPU count and library versions behind a bench record."""
+    """Commit, CPU count, library versions and BLAS behind a bench record.
+
+    The BLAS build and its thread count are stamped because both change
+    the builtin solver's results: its search path follows the summation
+    order of the BLAS kernels.
+    """
     import numpy
 
     try:
         import scipy
     except ImportError:
         scipy = None
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the dict form
+        blas = {}
     return {
         "git_sha": _git_sha(),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__ if scipy is not None else None,
+        "blas": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS", "default"),
     }
 
 

@@ -23,12 +23,29 @@ loose for root reduced-cost fixing to prune anything, so a greedy
 bounds and constraints of the live problem; any doubt falls back to the
 unpolished projection or returns ``None`` and the solve proceeds
 unseeded, exactly as before.
+
+Everything is checked on the live problem's arrays: the objective
+vector ``c``, the constraint rows ``A x ≤/≥/= b`` and the variable
+bounds, read once per call.  The point is one vector ``x`` with its row
+activity ``A x``.  A move changes only the columns the moved groups and
+their two sites own — assignment binaries, site-used binary, segment
+selectors and loads, and the groups' peer-split linkers — so each
+candidate is a sparse ``Δx`` over those columns.  Polish scores a whole
+round of relocate and swap candidates as one ``c·Δx`` and checks them
+as ``A x + A[:, cols]·Δx`` against ``b`` and ``x + Δx`` against the
+bounds; the repair rounds and the final self-check read the same
+activity vector.  The historical name→value walk is the test oracle
+``tests/oracles/hint_repair.py``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping
 
+import numpy as np
+
+from ..lp.expressions import Sense
+from ..lp.sparse import bound_arrays, constraint_blocks, objective_arrays, scatter_add
 from .formulation import ConsolidationModel
 from .local_search import _IncrementalEvaluator, _risk_conflict
 
@@ -37,20 +54,292 @@ _TOL = 1e-6
 #: can see, so >1 rounds only happen when a repair move itself trips a
 #: different row (moving into a freshly-capped site).
 _MAX_ROUNDS = 8
+#: Polish moves any one group may make in one repair call.
+_POLISH_BUDGET = 4
 
 
-def _violation(con, values: dict) -> float:
-    """How far ``values`` violates ``con`` (0.0 when satisfied)."""
-    lhs = sum(
-        coef * values.get(var.name, 0.0) for var, coef in con.expr.terms().items()
-    )
-    tol = _TOL * max(1.0, abs(con.rhs))
-    sense = con.sense.value
-    if sense == "<=":
-        return lhs - con.rhs if lhs > con.rhs + tol else 0.0
-    if sense == ">=":
-        return con.rhs - lhs if lhs < con.rhs - tol else 0.0
-    return abs(lhs - con.rhs) if abs(lhs - con.rhs) > tol else 0.0
+def _padded(owner: np.ndarray, item: np.ndarray, n_owners: int, fill: int):
+    """``(n_owners, width)`` table of each owner's items, in order.
+
+    ``owner`` must be sorted; rows are padded with ``fill``.  Returns the
+    table and each item's slot in it.
+    """
+    count = np.bincount(owner, minlength=n_owners)
+    first = count.cumsum() - count
+    slot = np.arange(len(owner)) - first[owner]
+    table = np.full((n_owners, int(count.max(initial=0))), fill, dtype=item.dtype)
+    table[owner, slot] = item
+    return table, slot
+
+
+class _Memo(dict):
+    """A dict that fills a missing ``key`` with ``fill(key)``."""
+
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _Columns:
+    """The model's variable columns, indexed by group and by site.
+
+    Groups and sites are numbered in sorted-name order, the order the
+    polish walks its candidates in.  Built once per model: directives
+    move bounds and append rows, but never add variables.
+    """
+
+    def __init__(self, model: ConsolidationModel, groups: dict, sites: dict) -> None:
+        variables = model.problem.variables
+        col = {var: i for i, var in enumerate(variables)}
+        self.n = len(variables)
+        self.group_names = sorted(groups)
+        self.site_names = sorted(sites)
+        self.group_index = {g: i for i, g in enumerate(self.group_names)}
+        self.site_index = {s: j for j, s in enumerate(self.site_names)}
+        n_groups, n_sites = len(self.group_names), len(self.site_names)
+        self.servers = np.array([float(groups[g].servers) for g in self.group_names])
+        owned = np.zeros(self.n, dtype=bool)
+
+        self.x = np.full((n_groups, n_sites), -1, dtype=np.int64)
+        #: X column → (group, site) names, the row-repair contributors.
+        self.x_key: dict[int, tuple[str, str]] = {}
+        for (g, dc), var in model.x.items():
+            self.x[self.group_index[g], self.site_index[dc]] = col[var]
+            self.x_key[col[var]] = (g, dc)
+        self.x_cols = self.x[self.x >= 0]
+        owned[self.x_cols] = True
+
+        # Site columns: the used binary, then each tier's selector and
+        # load.  Padding tiers (and sites without tiers) fit no load.
+        self.used = np.full(n_sites, -1, dtype=np.int64)
+        for name, var in model.used.items():
+            self.used[self.site_index[name]] = col[var]
+        n_tiers = max((len(b.selectors) for b in model.segment_blocks.values()), default=0)
+        seg_z = np.full((n_sites, n_tiers), -1, dtype=np.int64)
+        seg_n = np.full((n_sites, n_tiers), -1, dtype=np.int64)
+        self.seg_lo = np.full((n_sites, n_tiers), np.inf)
+        self.seg_hi = np.full((n_sites, n_tiers), -np.inf)
+        self.tiered = np.zeros(n_sites, dtype=bool)
+        for name, block in model.segment_blocks.items():
+            j = self.site_index[name]
+            dc = sites[name]
+            segments = dc.space_cost.truncated(dc.capacity).segments
+            self.tiered[j] = True
+            for k, (z, n, seg) in enumerate(zip(block.selectors, block.loads, segments)):
+                seg_z[j, k], seg_n[j, k] = col[z], col[n]
+                self.seg_lo[j, k], self.seg_hi[j, k] = seg.lower, seg.upper
+        self.site_cols = np.concatenate([self.used[:, None], seg_z, seg_n], axis=1)
+        self.has_site_cols = bool((self.site_cols >= 0).any())
+        owned[self.site_cols[self.site_cols >= 0]] = True
+
+        # Peer-split linkers by pair end; ``group_links[g]`` lists the
+        # linkers with an end at group g (padded with -1).
+        keys = list(model.peer_split)
+        self.link_col = np.array([col[model.peer_split[k]] for k in keys], dtype=np.int64)
+        self.link_a = np.array([self.group_index[k[0]] for k in keys], dtype=np.int64)
+        self.link_b = np.array([self.group_index[k[1]] for k in keys], dtype=np.int64)
+        self.link_sa = np.array([self.site_index[k[2]] for k in keys], dtype=np.int64)
+        self.link_sb = np.array([self.site_index[k[3]] for k in keys], dtype=np.int64)
+        ends = np.concatenate([self.link_a, self.link_b])
+        order = ends.argsort(kind="stable")
+        self.group_links, _ = _padded(
+            ends[order], order % max(1, len(keys)), n_groups, -1
+        )
+        owned[self.link_col] = True
+        #: Columns no move changes: they keep the hint's value.
+        self.others = np.flatnonzero(~owned)
+
+    def _site_values(self, sites: np.ndarray, loads: np.ndarray):
+        """``(cols, values, ok)`` of each (site, load) pair's site columns.
+
+        The used binary is on iff the site carries load; the first tier
+        containing the load is selected and carries it.  ``ok`` is False
+        where a tiered site's load fits no tier.  Padding columns are -1.
+        """
+        on = loads > 0
+        fits = (self.seg_lo[sites] - _TOL <= loads[:, None]) & (
+            loads[:, None] <= self.seg_hi[sites] + _TOL
+        )
+        chosen = fits & (fits.cumsum(axis=1) == 1) & on[:, None]
+        values = np.concatenate(
+            [on[:, None], chosen, np.where(chosen, loads[:, None], 0.0)], axis=1
+        )
+        ok = ~(self.tiered[sites] & on) | fits.any(axis=1)
+        return self.site_cols[sites], values.astype(float), ok
+
+    def complete(self, p: np.ndarray, base: np.ndarray) -> np.ndarray | None:
+        """The point ``x`` of placement ``p`` (site per group), or ``None``.
+
+        Sets each site-used binary iff the site carries load, selects
+        the space-cost tier containing the site's load, and tightens
+        every peer-split linker — the cheapest completion of the
+        assignment, mirroring what any optimal solution does.  Columns
+        no move owns keep their value in ``base``.
+        """
+        x = base.copy()
+        x[self.x_cols] = 0.0
+        x[self.x[np.arange(len(p)), p]] = 1.0
+        load = scatter_add(p, self.servers, len(self.site_names))
+        if self.has_site_cols:
+            cols, values, ok = self._site_values(np.arange(len(load)), load)
+            if not ok.all():
+                return None  # a load outside every tier: cannot complete
+            keep = cols >= 0
+            x[cols[keep]] = values[keep]
+        x[self.link_col] = (p[self.link_a] == self.link_sa) & (p[self.link_b] == self.link_sb)
+        return x
+
+    def changes(self, p, load, group, dest, swap_a, swap_b):
+        """The columns each move rewrites, with their completed values.
+
+        The moves are the relocates ``group[i] -> dest[i]``, then the
+        swaps ``swap_a[i] <-> swap_b[i]``.  Returns ``(move, col, value,
+        ok)``: one entry per rewritten column of each move, and whether
+        each move's completion exists (every tiered load fits a tier;
+        ``True`` for all when the model has no tiers).  No (move, col)
+        pair repeats.
+        """
+        n_r, n_s = len(group), len(swap_a)
+        m = n_r + n_s
+        g1 = np.concatenate((group, swap_a))
+        t1 = np.concatenate((dest, p[swap_b]))
+        f1 = p[g1]
+        every = np.arange(m)
+        # Assignment binaries: every moved group leaves its site (0),
+        # then takes its destination (1).
+        move = [np.concatenate((every, every[n_r:], every, every[n_r:]))]
+        cols = [
+            np.concatenate(
+                (self.x[g1, f1], self.x[swap_b, t1[n_r:]], self.x[g1, t1], self.x[swap_b, f1[n_r:]])
+            )
+        ]
+        values = [np.zeros(len(cols[0]))]
+        values[0][m + n_s :] = 1.0
+        ok = True
+        if self.has_site_cols:
+            shift = self.servers[g1]
+            shift[n_r:] -= self.servers[swap_b]
+            site_cols, site_values, fits = self._site_values(
+                np.concatenate((f1, t1)), np.concatenate((load[f1] - shift, load[t1] + shift))
+            )
+            ok = fits[:m] & fits[m:]
+            keep = site_cols >= 0
+            move.append(np.concatenate((every, every))[keep.nonzero()[0]])
+            cols.append(site_cols[keep])
+            values.append(site_values[keep])
+        if len(self.link_col):
+            # Every linker with an end at g1, then those at the swap
+            # partner not shared with g1; each reads the new sites.
+            g2 = np.concatenate((np.full(n_r, -1), swap_b))
+            t2 = np.concatenate((np.full(n_r, -1), f1[n_r:]))
+            first = self.group_links[g1]
+            second = self.group_links[swap_b]
+            own = (self.link_a[second] != swap_a[:, None]) & (
+                self.link_b[second] != swap_a[:, None]
+            )
+            w1, k1 = (first >= 0).nonzero()
+            w2, k2 = ((second >= 0) & own).nonzero()
+            who = np.concatenate((w1, n_r + w2))
+            link = np.concatenate((first[w1, k1], second[w2, k2]))
+            at = []
+            for end in (self.link_a[link], self.link_b[link]):
+                at.append(
+                    np.where(end == g1[who], t1[who], np.where(end == g2[who], t2[who], p[end]))
+                )
+            move.append(who)
+            cols.append(self.link_col[link])
+            values.append(
+                ((at[0] == self.link_sa[link]) & (at[1] == self.link_sb[link])).astype(float)
+            )
+        if len(move) == 1:
+            return move[0], cols[0], values[0], ok
+        return np.concatenate(move), np.concatenate(cols), np.concatenate(values), ok
+
+
+class _Rows:
+    """The live problem's rows as arrays: matrix, senses and limits."""
+
+    def __init__(self, problem) -> None:
+        blocks = constraint_blocks(problem)
+        self.blocks = blocks
+        # Each column's rows and coefficients, padded with a dummy row
+        # (index n_rows, coefficient 0) to the longest column.
+        by_col = blocks.cols.argsort(kind="stable")
+        cols = blocks.cols[by_col]
+        self.col_rows, slot = _padded(cols, blocks.rows[by_col], blocks.n_cols, blocks.n_rows)
+        self.col_coefs = np.zeros(self.col_rows.shape)
+        self.col_coefs[cols, slot] = blocks.data[by_col]
+        self.rhs = blocks.rhs
+        tol = _TOL * np.maximum(1.0, np.abs(self.rhs))
+        self.le = np.array([s is Sense.LE for s in blocks.senses], dtype=bool)
+        ge = np.array([s is Sense.GE for s in blocks.senses], dtype=bool)
+        self.row_hi = np.where(ge, np.inf, self.rhs + tol)
+        self.row_lo = np.where(self.le, -np.inf, self.rhs - tol)
+        is_le = self.le.tolist()
+        rows_of, coefs_of = self.col_rows.tolist(), self.col_coefs.tolist()
+        #: ``{row: coefficient}`` of each column (padding included), on use.
+        self.column = _Memo(lambda j: dict(zip(rows_of[j], coefs_of[j])))
+        #: ``[(row, coefficient)]`` of each column's positive ``<=`` terms.
+        self.le_terms = _Memo(
+            lambda j: [(r, v) for r, v in zip(rows_of[j], coefs_of[j]) if v > 0.0 and is_le[r]]
+        )
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """``A x``, each row summed in its terms' order."""
+        blocks = self.blocks
+        return scatter_add(blocks.rows, blocks.data * x[blocks.cols], blocks.n_rows)
+
+    def overshoot(self, act: np.ndarray) -> np.ndarray:
+        """How far each row is violated at activity ``act`` (0 when held)."""
+        return np.where(act > self.row_hi, act - self.rhs, 0.0) + np.where(
+            act < self.row_lo, self.rhs - act, 0.0
+        )
+
+    def holds(self, x: np.ndarray, act: np.ndarray, bounds) -> bool:
+        """Does the point satisfy every bound ``(lo, hi)`` and every row?"""
+        lo, hi = bounds
+        return not (
+            np.count_nonzero(x < lo)
+            or np.count_nonzero(x > hi)
+            or np.count_nonzero(act > self.row_hi)
+            or np.count_nonzero(act < self.row_lo)
+        )
+
+    def holds_after(self, x, act, bounds, broken, entries, n_moves: int, order):
+        """Per move in ``order``: does ``x + Δx`` hold every bound and row?
+
+        ``entries`` are the ``(move, col, value, delta)`` of the
+        ``n_moves`` moves' sparse ``Δx``: each rewritten column's new
+        value and its change.  Each checked move's row activity is
+        ``act`` plus its columns of ``A`` times its deltas.
+        ``broken`` marks the columns whose bound ``x`` already breaks
+        (``None`` when there are none).
+        """
+        lo, hi = bounds
+        move, col, value, delta = entries
+        q = len(order)
+        slot = -np.ones(n_moves, dtype=np.int64)
+        slot[order] = np.arange(q)
+        at = slot[move]
+        pick = (at >= 0).nonzero()[0]
+        at, col, value, delta = at[pick], col[pick], value[pick], delta[pick]
+        n_rows = len(act)
+        cell = self.col_rows[col] * q + at[:, None]
+        change = scatter_add(
+            cell.ravel(), (self.col_coefs[col] * delta[:, None]).ravel(), (n_rows + 1) * q
+        )[: n_rows * q].reshape(n_rows, q)
+        new = act[:, None] + change
+        fine = ~((new > self.row_hi[:, None]) | (new < self.row_lo[:, None])).any(axis=0)
+        broken_after = (value < lo[col]) | (value > hi[col])
+        if np.count_nonzero(broken_after):
+            fine &= scatter_add(at, broken_after.astype(float), q) == 0.0
+        if broken is not None:  # a move must rewrite every broken column
+            fine &= scatter_add(at, broken[col].astype(float), q) == np.count_nonzero(broken)
+        return fine
 
 
 def make_hint_repairer(
@@ -63,194 +352,151 @@ def make_hint_repairer(
     to a full placement, or a projection that fails its own feasibility
     self-check.
     """
+    if model.options.enable_dr:
+        return lambda problem, hint: None  # backup pools re-size non-locally
     state = model.state
     ev = _IncrementalEvaluator(state, model.options.wan_model)
     groups = ev.groups
     sites = ev.sites
     omega = state.params.business_impact
     group_cap = omega * len(state.app_groups) if omega < 1.0 else None
-    schedules = {
-        dc.name: dc.space_cost.truncated(dc.capacity)
-        for dc in state.target_datacenters
-    }
-    x_site = {var.name: key for key, var in model.x.items()}
-
-    def build_values(placement: dict[str, str]) -> dict[str, float] | None:
-        """Full name→value point implied by ``placement``.
-
-        Sets each site-used binary iff the site carries load, selects
-        the space-cost tier containing the site's load, and tightens
-        every peer-split linker — the cheapest completion of the
-        assignment, mirroring what any optimal solution does.
-        """
-        values: dict[str, float] = {}
-        load_at = {name: 0 for name in sites}
-        for g, site in placement.items():
-            load_at[site] += groups[g].servers
-        for (g, dc), var in model.x.items():
-            values[var.name] = 1.0 if placement.get(g) == dc else 0.0
-        for name, var in model.used.items():
-            values[var.name] = 1.0 if load_at[name] > 0 else 0.0
-        for name, block in model.segment_blocks.items():
-            load = float(load_at[name])
-            chosen = None
-            if load > 0:
-                for k, seg in enumerate(schedules[name].segments):
-                    if seg.lower - _TOL <= load <= seg.upper + _TOL:
-                        chosen = k
-                        break
-                if chosen is None:
-                    return None  # load outside every tier: cannot complete
-            for k, (z, n) in enumerate(zip(block.selectors, block.loads)):
-                values[z.name] = 1.0 if k == chosen else 0.0
-                values[n.name] = load if k == chosen else 0.0
-        for (a, b, dc_a, dc_b), var in model.peer_split.items():
-            both = placement.get(a) == dc_a and placement.get(b) == dc_b
-            values[var.name] = 1.0 if both else 0.0
-        return values
+    table = _Columns(model, groups, sites)
+    gi, ji = table.group_index, table.site_index
+    n_groups = len(gi)
+    site_ids = np.arange(len(ji))
+    upper = np.triu(np.ones((n_groups, n_groups), dtype=bool), 1)
+    names = [var.name for var in model.problem.variables]
+    x_col = {key: int(table.x[gi[key[0]], ji[key[1]]]) for key in model.x}
+    used_col = {name: int(table.used[ji[name]]) for name in model.used}
+    capacity = {name: dc.capacity for name, dc in sites.items()}
+    # The evaluator's base-cost pieces, by (site, servers) and (group, site).
+    site_cost = _Memo(lambda key: ev.site_cost(sites[key[0]], key[1]))
+    group_cost = _Memo(lambda key: ev.group_cost(groups[key[0]], sites[key[1]]))
 
     def repair(problem, hint: Mapping[str, float]) -> dict | None:
-        if model.options.enable_dr:
-            return None  # backup pools re-size non-locally under a move
         if problem is not model.problem:
             return None  # a different model: the session's vars don't apply
+        # The hint's placement, and the current directive state read
+        # straight off the live variables: retire/forbid push ub below 1
+        # (site disallowed), pin lifts lb above 0 (site forced).
         placement: dict[str, str] = {}
-        for (g, dc), var in model.x.items():
-            if float(hint.get(var.name, 0.0)) > 0.5:
-                placement[g] = dc
-        if len(placement) != len(groups):
-            return None
-
-        # Current directive state, read straight off the live variables:
-        # retire/forbid push ub below 1 (site disallowed), pin lifts lb
-        # above 0 (site forced).
         allowed: dict[str, set[str]] = {g: set() for g in groups}
         forced: dict[str, str] = {}
         for (g, dc), var in model.x.items():
-            ub = float("inf") if var.ub is None else var.ub
-            lb = float("-inf") if var.lb is None else var.lb
-            if ub >= 0.5:
+            if hint.get(var.name, 0.0) > 0.5:
+                placement[g] = dc
+            if var.ub is None or var.ub >= 0.5:
                 allowed[g].add(dc)
-            if lb > 0.5:
+            if var.lb is not None and var.lb > 0.5:
                 if forced.setdefault(g, dc) != dc:
                     return None  # two pins on one group: infeasible
+        if len(placement) != len(groups):
+            return None
         servers_at = {name: 0 for name in sites}
         count_at = {name: 0 for name in sites}
         for g, site in placement.items():
             servers_at[site] += groups[g].servers
             count_at[site] += 1
-        values = build_values(placement)
-        if values is None:
-            return None
 
-        # Every ``<=`` row each assignment binary loads (positively), so
-        # the destination gate can see cap rows too — without this a
-        # repair ping-pongs load between two capped sites forever.
-        rows_by_x: dict[str, list[tuple[object, float]]] = {}
-        for con in problem.constraints:
-            if con.sense.value != "<=":
-                continue
-            for var, coef in con.expr.terms().items():
-                if coef > 0.0 and var.name in x_site:
-                    rows_by_x.setdefault(var.name, []).append((con, float(coef)))
-        used_by_site = {name: var for name, var in model.used.items()}
+        rows = _Rows(problem)
+        c = objective_arrays(problem)[0]
+        lb, ub, _ = bound_arrays(problem)
+        bounds = (lb - _TOL, ub + _TOL)
+        base = np.zeros(table.n)
+        for i in table.others:
+            base[i] = float(hint.get(names[i], 0.0))
+        p = np.array([ji[placement[g]] for g in table.group_names], dtype=np.int64)
+        x = table.complete(p, base)
+        if x is None:
+            return None
+        load = scatter_add(p, table.servers, len(ji))
+        act = rows.activity(x)
+        # The activity as floats, for the per-destination gates.
+        level, is_le, row_hi = act.tolist(), rows.le.tolist(), rows.row_hi.tolist()
         moves_of: dict[str, int] = {}
 
-        def apply_move(g: str, dst: str, budget: dict | None = None) -> bool:
-            nonlocal values
-            src = placement[g]
-            placement[g] = dst
-            servers_at[src] -= groups[g].servers
-            servers_at[dst] += groups[g].servers
+        def settle() -> None:
+            """Re-read the row activity after ``x`` changed."""
+            nonlocal act, level
+            act = rows.activity(x)
+            level = act.tolist()
+
+        def shift(g: int, t: int) -> None:
+            """Book group ``g``'s move to site ``t``."""
+            name, src, dst = table.group_names[g], table.site_names[p[g]], table.site_names[t]
+            n = groups[name].servers
+            placement[name] = dst
+            servers_at[src] -= n
+            servers_at[dst] += n
             count_at[src] -= 1
             count_at[dst] += 1
-            tally = moves_of if budget is None else budget
-            tally[g] = tally.get(g, 0) + 1
-            values = build_values(placement)
-            return values is not None
+            load[p[g]] -= n
+            load[t] += n
+            p[g] = t
 
-        def le_fits(g: str, dst: str) -> bool:
-            """Would moving ``g`` to ``dst`` keep every ``<=`` row on
-            ``X[g,dst]`` satisfied, at the current point?"""
-            src = placement[g]
-            var_dst = model.x[(g, dst)]
-            var_src = model.x.get((g, src))
-            u_dst = used_by_site.get(dst)
-            for con, coef_dst in rows_by_x.get(var_dst.name, ()):
-                terms = con.expr.terms()
-                lhs = sum(
-                    c * values.get(v.name, 0.0) for v, c in terms.items()
-                )
-                lhs += coef_dst  # X[g,dst] flips 0 -> 1
-                if var_src is not None and var_src in terms:
-                    lhs -= terms[var_src]  # X[g,src] flips 1 -> 0
-                if (
-                    u_dst is not None
-                    and u_dst in terms
-                    and values.get(u_dst.name, 0.0) < 0.5
-                ):
-                    lhs += terms[u_dst]  # site turns on: U[dst] 0 -> 1
-                if lhs > con.rhs + _TOL * max(1.0, abs(con.rhs)):
-                    return False
+        def apply_move(g: str, dst: str) -> bool:
+            moves_of[g] = moves_of.get(g, 0) + 1
+            trial = p.copy()
+            trial[gi[g]] = ji[dst]
+            moved_x = table.complete(trial, x)
+            if moved_x is None:
+                return False  # a load outside every tier: cannot complete
+            x[:] = moved_x
+            settle()
+            shift(gi[g], ji[dst])
             return True
 
-        def gates_ok(g: str, dst: str, budget: dict | None = None) -> bool:
-            if dst not in allowed[g] or dst == placement[g]:
-                return False
-            if forced.get(g, dst) != dst:
-                return False
-            tally = moves_of if budget is None else budget
-            if tally.get(g, 0) >= 3:
-                return False  # thrash backstop: a group moves at most thrice
-            dst_dc = sites[dst]
-            if servers_at[dst] + groups[g].servers > dst_dc.capacity:
-                return False
-            if group_cap is not None and count_at[dst] + 1 > group_cap:
-                return False
-            if _risk_conflict(groups[g], dst, placement, groups):
-                return False
-            return le_fits(g, dst)
-
-        def move_delta(g: str, dst: str) -> float:
+        def cheapest_destination(g: str) -> tuple[str, float] | None:
+            """The legal destination of ``g`` that :class:`_IncrementalEvaluator`
+            prices cheapest, with that price; ``None`` when none is legal."""
+            if moves_of.get(g, 0) >= 3:
+                return None  # thrash backstop: a group moves at most thrice
             grp = groups[g]
-            src_dc, dst_dc = sites[placement[g]], sites[dst]
-            src_servers = servers_at[placement[g]]
-            dst_servers = servers_at[dst]
-            return (
-                ev.site_cost(src_dc, src_servers - grp.servers)
-                - ev.site_cost(src_dc, src_servers)
-                + ev.site_cost(dst_dc, dst_servers + grp.servers)
-                - ev.site_cost(dst_dc, dst_servers)
-                + ev.group_cost(grp, dst_dc)
-                - ev.group_cost(grp, src_dc)
-            )
-
-        def cheapest_destination(g: str) -> str | None:
-            best, best_delta = None, None
+            n = grp.servers
+            src = placement[g]
+            pin = forced.get(g)
+            risky = grp.risk_group is not None
+            leave = site_cost[src, servers_at[src] - n] - site_cost[src, servers_at[src]]
+            stay = group_cost[g, src]
+            src_terms = rows.column[x_col[g, src]]
+            best = None
             for dst in allowed[g]:
-                if not gates_ok(g, dst):
+                if dst == src or (pin is not None and pin != dst):
                     continue
-                delta = move_delta(g, dst)
-                if best_delta is None or delta < best_delta:
-                    best, best_delta = dst, delta
+                load_dst = servers_at[dst]
+                if load_dst + n > capacity[dst]:
+                    continue
+                if group_cap is not None and count_at[dst] + 1 > group_cap:
+                    continue
+                if risky and _risk_conflict(grp, dst, placement, groups):
+                    continue
+                u_dst = used_col.get(dst)
+                if u_dst is not None and x[u_dst] < 0.5:
+                    u_terms = rows.column[u_dst]  # site turns on: U[dst] 0 -> 1
+                else:
+                    u_terms = {}
+                # Every ``<=`` row on X[g,dst] must hold after the move:
+                # X[g,dst] flips 0 -> 1 and X[g,src] flips 1 -> 0.
+                for r, coef in rows.le_terms[x_col[g, dst]]:
+                    if level[r] + coef - src_terms.get(r, 0.0) + u_terms.get(r, 0.0) > row_hi[r]:
+                        break
+                else:
+                    delta = (
+                        leave
+                        + site_cost[dst, load_dst + n]
+                        - site_cost[dst, load_dst]
+                        + group_cost[g, dst]
+                        - stay
+                    )
+                    if best is None or delta < best[1]:
+                        best = (dst, delta)
             return best
 
-        def feasible_point(point: dict[str, str]) -> dict | None:
-            """Full values for ``point`` iff it satisfies every bound and
-            constraint of the live problem, else ``None``."""
-            vals = build_values(point)
-            if vals is None:
-                return None
-            for var in problem.variables:
-                value = vals.setdefault(var.name, float(hint.get(var.name, 0.0)))
-                if var.lb is not None and value < var.lb - _TOL:
-                    return None
-                if var.ub is not None and value > var.ub + _TOL:
-                    return None
-            for con in problem.constraints:
-                if _violation(con, vals) > 0.0:
-                    return None
-            return vals
+        # Polish gates in sorted (group, site) order: the sites each group
+        # may take (allowed, and its pinned site if it has one).
+        exists = table.x >= 0
+        pin_at = exists & (lb[table.x] > 0.5)
+        reach = exists & (ub[table.x] >= 0.5) & (~pin_at.any(axis=1)[:, None] | pin_at)
 
         def polish() -> bool:
             """Relocate/swap descent on the *problem* objective.
@@ -259,91 +505,62 @@ def make_hint_repairer(
             several percent above the optimum, and a loose incumbent gives
             the solver's root reduced-cost fixing nothing to work with.
             Candidates are scored against the live objective vector —
-            which, unlike :func:`move_delta`'s base-cost model, includes
-            the controller's move-penalty terms — and the winner is only
+            which, unlike the repair's base-cost model, includes the
+            controller's move-penalty terms — and the winner is only
             applied after a full feasibility check of the candidate point,
             so no conservative gate can strand the descent.  Swaps are
             what let two groups trade capacity-tight sites, the move a
             relocate-only pass cannot make.  A per-group move budget,
             separate from the repair budget, bounds the walk.
+
+            Each round builds every candidate at once — relocates in
+            (group, site) order, then swaps in (group, group) order —
+            and applies the cheapest strictly improving one that holds
+            every bound and row, ties going to the earlier candidate.
             """
-            sign = 1.0 if problem.sense == "minimize" else -1.0
-            obj_terms = {
-                var.name: sign * float(coef)
-                for var, coef in problem.objective.terms().items()
-            }
-
-            def point_obj(vals: dict[str, float]) -> float:
-                return sum(
-                    coef * vals.get(name, 0.0)
-                    for name, coef in obj_terms.items()
-                )
-
-            def candidates() -> list[dict[str, str]]:
-                names = sorted(placement)
-                out = []
-                for g in names:
-                    if budget.get(g, 0) >= 4:
-                        continue
-                    for dst in sorted(allowed[g]):
-                        if dst == placement[g] or forced.get(g, dst) != dst:
-                            continue
-                        trial = dict(placement)
-                        trial[g] = dst
-                        out.append(trial)
-                for i, a in enumerate(names):
-                    if budget.get(a, 0) >= 4:
-                        continue
-                    site_a = placement[a]
-                    for b in names[i + 1 :]:
-                        site_b = placement[b]
-                        if site_a == site_b or budget.get(b, 0) >= 4:
-                            continue
-                        if site_b not in allowed[a] or site_a not in allowed[b]:
-                            continue
-                        if forced.get(a, site_b) != site_b:
-                            continue
-                        if forced.get(b, site_a) != site_a:
-                            continue
-                        trial = dict(placement)
-                        trial[a], trial[b] = site_b, site_a
-                        out.append(trial)
-                return out
-
-            nonlocal values
-            budget: dict[str, int] = {}
-            current = point_obj(values)
+            budget = np.zeros(n_groups, dtype=np.int64)
+            current = float(c @ x)
+            broken = (x < bounds[0]) | (x > bounds[1])
+            broken = broken if broken.any() else None
             polished = False
-            for _ in range(4 * len(placement)):
-                scored = []
-                for trial in candidates():
-                    vals = build_values(trial)
-                    if vals is None:
-                        continue
-                    cand = point_obj(vals)
-                    if cand < current - 1e-9:
-                        scored.append((cand, trial))
-                scored.sort(key=lambda sc: sc[0])
-                applied = False
-                for cand, trial in scored:
-                    vals = feasible_point(trial)
-                    if vals is None:
-                        continue
-                    for g in sorted(placement):
-                        if trial[g] != placement[g]:
-                            budget[g] = budget.get(g, 0) + 1
-                            servers_at[placement[g]] -= groups[g].servers
-                            servers_at[trial[g]] += groups[g].servers
-                            count_at[placement[g]] -= 1
-                            count_at[trial[g]] += 1
-                    placement.clear()
-                    placement.update(trial)
-                    values = vals
-                    current = cand
-                    applied = polished = True
+            for _ in range(4 * n_groups):
+                free = budget < _POLISH_BUDGET
+                group, dest = (reach & free[:, None] & (site_ids != p[:, None])).nonzero()
+                cross = reach[:, p]  # cross[a, b]: a may take b's site
+                swap_a, swap_b = (
+                    cross & cross.T & (p[:, None] != p) & free[:, None] & free & upper
+                ).nonzero()
+                n_moves = len(group) + len(swap_a)
+                if not n_moves:
                     break
-                if not applied:
+                move, cols, values, ok = table.changes(p, load, group, dest, swap_a, swap_b)
+                delta = values - x[cols]
+                score = current + scatter_add(move, c[cols] * delta, n_moves)
+                order = (ok & (score < current - 1e-9)).nonzero()[0]
+                if not order.size:
                     break
+                order = order[score[order].argsort(kind="stable")]
+                fine = rows.holds_after(
+                    x, act, bounds, broken, (move, cols, values, delta), n_moves, order
+                )
+                hit = fine.nonzero()[0]
+                if not hit.size:
+                    break
+                k = order[hit[0]]
+                if k < len(group):
+                    shifts = [(group[k], dest[k])]
+                else:
+                    a, b = swap_a[k - len(group)], swap_b[k - len(group)]
+                    shifts = [(a, p[b]), (b, p[a])]
+                mine = move == k
+                x[cols[mine]] = values[mine]
+                settle()
+                for g, t in shifts:
+                    budget[g] += 1
+                    shift(g, t)
+                current = float(c @ x)
+                broken = None  # the applied move held every bound
+                polished = True
             return polished
 
         moved = False
@@ -357,38 +574,46 @@ def make_hint_repairer(
             # Retire/forbid: the current site is no longer allowed.
             displaced = [g for g in placement if placement[g] not in allowed[g]]
             for g in displaced:
-                dst = cheapest_destination(g)
-                if dst is None:
+                best = cheapest_destination(g)
+                if best is None:
                     return None  # nowhere legal to land: give up
-                if not apply_move(g, dst):
+                if not apply_move(g, best[0]):
                     return None
                 moved = True
             # Appended cap rows (and any other ``<=`` the point trips):
             # unload the cheapest contributing group until the row holds.
+            # Rows are visited in order, each read off the current point.
             clean = True
-            for con in problem.constraints:
-                overshoot = _violation(con, values)
-                if overshoot <= 0.0 or con.sense.value != "<=":
-                    if overshoot > 0.0:
-                        clean = False  # non-LE violation: next round re-checks
+            r = 0
+            while True:
+                late = (rows.overshoot(act)[r:] > 0.0).nonzero()[0]
+                if not late.size:
+                    break
+                r += int(late[0])
+                if not is_le[r]:
+                    clean = False  # non-LE violation: next round re-checks
+                    r += 1
                     continue
+                overshoot = level[r] - float(rows.rhs[r])
                 contributors = []
-                for var, coef in con.expr.terms().items():
-                    key = x_site.get(var.name)
+                lo, hi = rows.blocks.row_ptr[r], rows.blocks.row_ptr[r + 1]
+                for col, coef in zip(
+                    rows.blocks.cols[lo:hi].tolist(), rows.blocks.data[lo:hi].tolist()
+                ):
+                    key = table.x_key.get(col)
                     if key is None or coef <= 0.0:
                         continue
                     g, dc = key
                     if placement.get(g) == dc:
-                        contributors.append((g, float(coef)))
+                        contributors.append((g, coef))
                 while overshoot > _TOL and contributors:
                     best = None
                     for i, (g, coef) in enumerate(contributors):
-                        dst = cheapest_destination(g)
-                        if dst is None:
+                        found = cheapest_destination(g)
+                        if found is None:
                             continue
-                        delta = move_delta(g, dst)
-                        if best is None or delta < best[3]:
-                            best = (i, g, dst, delta, coef)
+                        if best is None or found[1] < best[3]:
+                            best = (i, g, found[0], found[1], coef)
                     if best is None:
                         return None  # row cannot be satisfied by moves
                     i, g, dst, _, coef = best
@@ -398,12 +623,13 @@ def make_hint_repairer(
                     overshoot -= coef
                     moved = True
                     clean = False
+                r += 1
             if clean and all(placement[g] in allowed[g] for g in placement):
                 break
         else:
             return None  # did not converge within the round budget
 
-        repaired_placement = dict(placement)
+        repaired = (x.copy(), act)
         polished = polish()
         if not (moved or polished):
             return None  # hint untouched: seed the raw hint as before
@@ -412,11 +638,12 @@ def make_hint_repairer(
         # and constraint of the live problem, or seeding would fail and
         # the "repair" would just burn time.  (Polish moves were already
         # checked one by one; this re-checks whatever survived.)
-        out = feasible_point(placement)
-        if out is None and polished and moved:
+        if not rows.holds(x, act, bounds):
+            if not (polished and moved and rows.holds(*repaired, bounds)):
+                return None
             # A polish move tripped something the gates missed: fall back
             # to the merely-repaired (pre-polish) projection.
-            out = feasible_point(repaired_placement)
-        return out
+            x = repaired[0]
+        return dict(zip(names, x.tolist()))
 
     return repair

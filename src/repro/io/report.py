@@ -42,7 +42,8 @@ def render_solve_stats(stats: SolveStats) -> str:
         f"{stats.dual_entries} / {stats.dual_fallbacks}",
         f"    dual pivots                  {stats.dual_pivots}",
         "  context extended / hint fixed  "
-        f"{stats.context_extended} / {stats.hint_repaired}",
+        f"{stats.context_extended} / {stats.hint_repaired} "
+        f"({stats.hint_repair_seconds:.3f} s repairing)",
         f"    bordered dual re-entries     {stats.extension_dual_entries}",
         f"  B&B nodes explored             {stats.nodes_explored}",
         f"  B&B nodes pruned               {stats.nodes_pruned}",

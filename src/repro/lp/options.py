@@ -122,9 +122,8 @@ class SolveOptions:
 
 
 #: Which :class:`SolveOptions` fields each built-in backend honours.
-#: ``auto`` accepts the union of its delegates; when it falls back from
-#: HiGHS to the builtin stack, HiGHS-only fields are dropped explicitly
-#: (see ``repro.lp.solvers._solve_auto``), never silently mid-backend.
+#: ``auto`` runs HiGHS but keeps accepting the union of both backends'
+#: fields, so options written for either explicit backend stay valid.
 BACKEND_OPTION_FIELDS: dict[str, frozenset[str]] = {
     "highs": frozenset({"time_limit", "mip_rel_gap", "warm_start"}),
     "branch_bound": frozenset(

@@ -10,7 +10,8 @@ Backends:
     LP is one root relaxation, so with ``relaxation_engine="builtin"``
     this is also the from-scratch LP solver.
 ``auto``
-    ``highs`` when available, else ``branch_bound[builtin]``.
+    ``highs`` (SciPy is a hard dependency, so there is nothing to fall
+    back from).
 
 Options are carried by a typed :class:`~repro.lp.options.SolveOptions`
 record validated against the chosen backend; built-in backends reject
@@ -77,8 +78,6 @@ def _solve_branch_bound(
 
 
 def _solve_highs(problem: Problem, options: SolveOptions) -> Solution:
-    # Imported lazily so that environments without scipy can still load
-    # this module and fall back to the builtin solvers (see _solve_auto).
     from .highs import solve_with_highs
 
     # SciPy's milp/linprog expose no solution-hint API, so a warm_start
@@ -93,20 +92,10 @@ def _solve_highs(problem: Problem, options: SolveOptions) -> Solution:
     )
 
 
-def _solve_auto(problem: Problem, options: SolveOptions) -> Solution:
-    try:
-        return _solve_highs(problem, options)
-    except ImportError:  # no scipy: fall back to the pure-python stack
-        # The fallback drops the HiGHS-only gap option explicitly and
-        # switches node relaxations to the builtin simplex.
-        fallback = options.replace(relaxation_engine="builtin", mip_rel_gap=None)
-        return _solve_branch_bound(problem, fallback)
-
-
 _BACKENDS: dict[str, Callable[..., Solution]] = {
     "highs": _solve_highs,
     "branch_bound": _solve_branch_bound,
-    "auto": _solve_auto,
+    "auto": _solve_highs,
 }
 
 #: Built-in backends take a typed ``SolveOptions``; externally registered
@@ -583,11 +572,14 @@ class SolveCache:
             return survivor
 
         hint_repaired = False
+        repair_seconds = 0.0
         if options.warm_start is None:
             hint = self._hint_from_last()
             if hint is not None:
                 if self.hint_repairer is not None:
+                    repair_start = time.monotonic()
                     repaired = self.hint_repairer(problem, hint)
+                    repair_seconds = time.monotonic() - repair_start
                     if repaired is not None:
                         hint = repaired
                         hint_repaired = True
@@ -611,6 +603,7 @@ class SolveCache:
                 solution.stats.context_extended = 1
             if hint_repaired:
                 solution.stats.hint_repaired = 1
+            solution.stats.hint_repair_seconds = repair_seconds
         record_solve(
             problem=problem.name,
             backend=backend,

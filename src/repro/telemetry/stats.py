@@ -116,6 +116,8 @@ class SolveStats:
     context_extended: int = 0
     #: 1 when the incumbent MIP start was repaired before seeding.
     hint_repaired: int = 0
+    #: Wall clock the solve cache spent in its hint repairer, repaired or not.
+    hint_repair_seconds: float = 0.0
     #: Dual re-entries that carried a bordered (extended) basis across
     #: a row append — the proof the extension kept the warm start alive.
     extension_dual_entries: int = 0
@@ -179,6 +181,7 @@ class SolveStats:
             "dual_fallbacks": self.dual_fallbacks,
             "context_extended": self.context_extended,
             "hint_repaired": self.hint_repaired,
+            "hint_repair_seconds": self.hint_repair_seconds,
             "extension_dual_entries": self.extension_dual_entries,
             "nodes_explored": self.nodes_explored,
             "nodes_pruned": self.nodes_pruned,
@@ -225,6 +228,7 @@ class SolveStats:
             dual_fallbacks=data.get("dual_fallbacks", 0),
             context_extended=data.get("context_extended", 0),
             hint_repaired=data.get("hint_repaired", 0),
+            hint_repair_seconds=data.get("hint_repair_seconds", 0.0),
             extension_dual_entries=data.get("extension_dual_entries", 0),
             nodes_explored=data.get("nodes_explored", 0),
             nodes_pruned=data.get("nodes_pruned", 0),

@@ -50,3 +50,15 @@ class TestPlacementListing:
         text = render_placement_listing(make_plan(tiny_state, dr=True))
         assert "secondary" in text
         assert "cheap-far" in text
+
+
+class TestSolveStatsBlock:
+    def test_hint_repair_line_shows_its_time(self):
+        from repro.io.report import render_solve_stats
+        from repro.telemetry import SolveStats
+
+        text = render_solve_stats(
+            SolveStats(context_extended=1, hint_repaired=1, hint_repair_seconds=0.0421)
+        )
+        line = next(row for row in text.splitlines() if "hint fixed" in row)
+        assert line.endswith("1 / 1 (0.042 s repairing)")

@@ -191,27 +191,7 @@ class TestRegisterBackendDuplicates:
             register_backend("highs", lambda problem, **options: None)
 
 
-class TestAutoFallback:
-    def test_auto_falls_back_to_builtin_branch_bound_without_scipy(
-        self, monkeypatch
-    ):
-        """`auto` must degrade to branch_bound[builtin] when scipy is gone.
-
-        The highs module import is lazy precisely so this path can fire;
-        poisoning sys.modules makes any `import scipy` raise ImportError.
-        """
-        import sys
-
-        monkeypatch.delitem(sys.modules, "repro.lp.highs", raising=False)
-        monkeypatch.setitem(sys.modules, "scipy", None)
-        p = assignment_problem()
-        sol = solve(p, backend="auto")
-        assert sol.solver == "branch_bound[builtin]"
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(6.0)
-        assert sol.stats is not None
-        assert sol.stats.nodes_explored > 0
-
+class TestAuto:
     def test_auto_uses_highs_when_available(self):
         sol = solve(assignment_problem(), backend="auto")
         assert sol.solver.startswith("highs")

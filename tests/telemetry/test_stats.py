@@ -58,6 +58,13 @@ class TestAsDict:
         assert data["gap_trajectory"][0]["best_bound"] is None
         assert data["extra"]["native_nodes"] is None
 
+    def test_hint_repair_seconds_round_trips(self):
+        s = SolveStats(hint_repaired=1, hint_repair_seconds=0.125)
+        back = SolveStats.from_dict(json.loads(json.dumps(s.as_dict())))
+        assert back.hint_repaired == 1
+        assert back.hint_repair_seconds == 0.125
+        assert SolveStats.from_dict({}).hint_repair_seconds == 0.0
+
     def test_finite_values_survive(self):
         s = SolveStats(best_bound=5.0, incumbent=6.0, mip_gap=0.2)
         data = s.as_dict()
