@@ -236,10 +236,8 @@ class TestOracleParity:
         engine.apply(Directive("forbid", group=movers[0], datacenter=placement[movers[0]]))
         assert _check_parity(model, hint) is not None
         busiest = max(sites, key=lambda s: sum(1 for g in groups if placement[g] == s))
-        weights = tuple(
-            (g, float(dict((grp.name, grp.servers) for grp in state.app_groups)[g]))
-            for g in groups
-        )
+        servers = {grp.name: float(grp.servers) for grp in state.app_groups}
+        weights = tuple((g, servers[g]) for g in groups)
         engine.apply(Directive("cap_load", datacenter=busiest, limit=60.0, weights=weights))
         _check_parity(model, hint)
         try:
