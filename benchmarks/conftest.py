@@ -13,9 +13,8 @@ counters).  The record is assembled automatically by a module-scoped
 fixture; benchmarks with extra figures of merit merge them in through
 the ``archive_json`` fixture.  Each record is stamped with the commit,
 library versions, BLAS build and BLAS thread settings that produced it
-and also appended, as one line,
-to ``bench_results/history.jsonl``, so successive runs form a history
-instead of overwriting each other.
+and also appended, as one line, to ``bench_results/history.jsonl``, so
+successive runs form a history instead of overwriting each other.
 """
 
 from __future__ import annotations
