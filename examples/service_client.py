@@ -13,8 +13,6 @@ Against an already-running service, replace the boot block with
 ``client = ServiceClient("http://host:8080")``.
 """
 
-import threading
-
 from repro import ServiceClient, load_enterprise1
 from repro.service import JobManager, PlanningServer, ServiceConfig
 
@@ -23,8 +21,7 @@ def main() -> None:
     # -- boot (what `etransform serve` does) ------------------------------
     config = ServiceConfig(port=0, workers=2)  # port 0 → ephemeral
     manager = JobManager(config).start()
-    server = PlanningServer(config, manager)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    server = PlanningServer((config.host, config.port), manager).start()
     client = ServiceClient(server.url)
     print(f"service up at {server.url}: {client.healthz()}")
 
@@ -70,7 +67,7 @@ def main() -> None:
           f"| workers {stats['workers']}")
 
     # -- drain ------------------------------------------------------------
-    server.shutdown()
+    server.stop()
     drained = manager.shutdown(drain=True)
     print(f"drained cleanly: {drained}")
 

@@ -460,7 +460,7 @@ def make_hint_repairer(
             stay = group_cost[g, src]
             src_terms = rows.column[x_col[g, src]]
             best = None
-            for dst in allowed[g]:
+            for dst in sorted(allowed[g]):  # ties: the first name wins
                 if dst == src or (pin is not None and pin != dst):
                     continue
                 load_dst = servers_at[dst]

@@ -122,10 +122,10 @@ class SolveOptions:
 
 
 #: Which :class:`SolveOptions` fields each built-in backend honours.
-#: ``auto`` runs HiGHS but keeps accepting the union of both backends'
-#: fields, so options written for either explicit backend stay valid.
+#: ``auto`` runs HiGHS, so it accepts exactly HiGHS's fields.
+_HIGHS_FIELDS = frozenset({"time_limit", "mip_rel_gap", "warm_start"})
 BACKEND_OPTION_FIELDS: dict[str, frozenset[str]] = {
-    "highs": frozenset({"time_limit", "mip_rel_gap", "warm_start"}),
+    "highs": _HIGHS_FIELDS,
     "branch_bound": frozenset(
         {
             "time_limit",
@@ -137,16 +137,5 @@ BACKEND_OPTION_FIELDS: dict[str, frozenset[str]] = {
             "warm_start",
         }
     ),
-    "auto": frozenset(
-        {
-            "time_limit",
-            "mip_rel_gap",
-            "node_limit",
-            "gap_tolerance",
-            "max_iterations",
-            "relaxation_engine",
-            "cover_cut_rounds",
-            "warm_start",
-        }
-    ),
+    "auto": _HIGHS_FIELDS,
 }

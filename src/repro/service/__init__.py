@@ -14,8 +14,9 @@ Layers, bottom up: :mod:`~repro.service.jobs` (the job model and its
 lifecycle state machine), :mod:`~repro.service.executor` (what runs
 inside a worker), :mod:`~repro.service.workers` (the process pool),
 :mod:`~repro.service.manager` (queueing, retries, timeouts, cache,
-journal), :mod:`~repro.service.http` (the API), and
-:mod:`~repro.service.client` (a caller-side helper).
+journal), :mod:`~repro.service.http` (the API, over a manager or the
+cluster dispatcher), and :mod:`~repro.service.client` (a caller-side
+helper).
 """
 
 from .client import JobFailedError, ServiceClient, ServiceError

@@ -36,6 +36,7 @@ class ServiceError(RuntimeError):
         self, status: int, message: str, retry_after: float | None = None
     ) -> None:
         self.status = status
+        self.message = message
         self.retry_after = retry_after
         super().__init__(f"HTTP {status}: {message}")
 

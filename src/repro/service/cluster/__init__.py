@@ -9,6 +9,8 @@ harness imports the manager, so an eager package init would be a
 cycle.
 """
 
+import importlib
+
 from .store import (
     LIVE_STATES,
     JobStore,
@@ -17,20 +19,16 @@ from .store import (
     open_store,
 )
 
-_DISPATCHER_NAMES = frozenset(
-    {
-        "ClusterQueueFullError",
-        "Dispatcher",
-        "DispatcherServer",
-        "NoHealthyReplicaError",
-        "Replica",
-        "routing_key",
-        "run_dispatcher",
-    }
-)
-_REPLICA_NAMES = frozenset(
-    {"ClusterHarness", "InProcessReplica", "SubprocessReplica"}
-)
+#: Lazily loaded name → the module that defines it.
+_LAZY = {
+    "Dispatcher": ".dispatcher",
+    "Replica": ".dispatcher",
+    "routing_key": ".dispatcher",
+    "run_dispatcher": "..http",
+    "ClusterHarness": ".replica",
+    "InProcessReplica": ".replica",
+    "SubprocessReplica": ".replica",
+}
 
 __all__ = [
     "JobStore",
@@ -38,18 +36,11 @@ __all__ = [
     "MemoryJobStore",
     "SqliteJobStore",
     "open_store",
-    *sorted(_DISPATCHER_NAMES),
-    *sorted(_REPLICA_NAMES),
+    *sorted(_LAZY),
 ]
 
 
 def __getattr__(name: str):
-    if name in _DISPATCHER_NAMES:
-        from . import dispatcher
-
-        return getattr(dispatcher, name)
-    if name in _REPLICA_NAMES:
-        from . import replica
-
-        return getattr(replica, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name], __name__), name)

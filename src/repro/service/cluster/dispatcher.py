@@ -1,7 +1,12 @@
 """The cluster dispatcher: one front door over N ``serve`` replicas.
 
 Clients talk to the dispatcher exactly as they would to a single
-replica — same routes, same JSON — and the dispatcher:
+replica: :mod:`repro.service.http` serves both, so the routes, bodies
+(JSON or wire) and error statuses are the same.  The dispatcher raises
+the manager's exceptions (:class:`UnknownJobError`,
+:class:`QueueFullError`, :class:`ServiceUnavailableError`) and lets a
+replica's :class:`ServiceError` through for the HTTP layer to map.
+Behind that one contract it:
 
 * **shards by state fingerprint** — the routing key is the fingerprint
   of the payload's ``state`` document, so every job about one
@@ -33,19 +38,16 @@ tier.
 from __future__ import annotations
 
 import hashlib
-import json
-import signal
 import threading
 import time
-import urllib.parse
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable
 
 from ...lp.fingerprint import payload_fingerprint
 from ...telemetry import declare_counters, metrics
 from ..client import ServiceClient, ServiceError
 from ..jobs import CACHEABLE_KINDS, JobKind, new_job_id
+from ..manager import QueueFullError, ServiceUnavailableError, UnknownJobError
 from .store import JobStore, open_store
 
 DISPATCHER_COUNTERS = (
@@ -61,20 +63,6 @@ declare_counters(__name__, DISPATCHER_COUNTERS)
 
 #: Terminal job states, as the wire spells them.
 _TERMINAL = ("succeeded", "failed", "cancelled", "timeout")
-
-
-class NoHealthyReplicaError(RuntimeError):
-    """Every replica is down or evicted (maps to HTTP 503)."""
-
-
-class ClusterQueueFullError(RuntimeError):
-    """Every healthy replica refused the job (maps to HTTP 429)."""
-
-    def __init__(self, retry_after: float) -> None:
-        self.retry_after = retry_after
-        super().__init__(
-            f"all replicas are saturated; retry in {retry_after:.0f}s"
-        )
 
 
 class Replica:
@@ -171,16 +159,21 @@ class Dispatcher:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "Dispatcher":
+        """Probe every replica once, so routing works before the first
+        monitor tick, then start the health monitor."""
         if self._monitor is not None:
             raise RuntimeError("dispatcher already started")
         self.started_at = time.time()
+        for replica in self.replicas:
+            self.probe(replica)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="dispatcher-health", daemon=True
         )
         self._monitor.start()
         return self
 
-    def shutdown(self) -> None:
+    def shutdown(self) -> bool:
+        """Stop the monitor; ``True``: the dispatcher holds no jobs to drain."""
         self._stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
@@ -188,6 +181,7 @@ class Dispatcher:
         if self._store is not None and self._owns_store:
             self._store.close()
             self._store = None
+        return True
 
     def __enter__(self) -> "Dispatcher":
         return self.start()
@@ -272,9 +266,10 @@ class Dispatcher:
     ) -> dict[str, Any]:
         """Route one submission; returns the job record dict.
 
-        Raises :class:`ServiceError` (payload rejected by the replica),
-        :class:`ClusterQueueFullError` (every healthy replica answered
-        429) or :class:`NoHealthyReplicaError`.
+        Raises ``ValueError`` (unknown kind), :class:`ServiceError` (a
+        replica rejected the payload with a 4xx), :class:`QueueFullError`
+        (every healthy replica answered 429) or
+        :class:`ServiceUnavailableError` (no healthy replica took it).
         """
         kind = JobKind(kind)
         fingerprint = (
@@ -307,7 +302,7 @@ class Dispatcher:
         key = routing_key(kind, payload)
         candidates = self._ranked(key)
         if not candidates:
-            raise NoHealthyReplicaError("no healthy replica to route to")
+            raise ServiceUnavailableError("no healthy replica to route to")
         retry_afters: list[float] = []
         last_error: ServiceError | None = None
         for position, replica in enumerate(candidates):
@@ -336,8 +331,8 @@ class Dispatcher:
             return record
         if retry_afters:
             metrics.increment("dispatcher.jobs.rejected")
-            raise ClusterQueueFullError(max(retry_afters))
-        raise NoHealthyReplicaError(str(last_error or "no replica accepted"))
+            raise QueueFullError("all replicas are saturated", max(retry_afters))
+        raise ServiceUnavailableError(str(last_error or "no replica accepted"))
 
     def _maybe_cache(self, record: dict[str, Any]) -> None:
         """Feed the shared cache from any completed record we see."""
@@ -375,7 +370,7 @@ class Dispatcher:
         )
         return ordered
 
-    def job(self, job_id: str) -> dict[str, Any] | None:
+    def get(self, job_id: str) -> dict[str, Any]:
         """The job record, from wherever still answers for it."""
         with self._lock:
             local = self._local.get(job_id)
@@ -391,12 +386,30 @@ class Dispatcher:
                 continue
             self._maybe_cache(record)
             return record
-        if self._store is not None:
-            return self._store.get(job_id)
-        return None
+        record = self._store.get(job_id) if self._store is not None else None
+        if record is None:
+            raise UnknownJobError(job_id)
+        return record
 
-    def cancel(self, job_id: str) -> bool | None:
-        """``True`` cancelled, ``False`` already finished, ``None`` unknown."""
+    def jobs(self) -> list[dict[str, Any]]:
+        """Job summaries, no result bodies: every healthy replica's, then
+        the ones the dispatcher completed from its result cache."""
+        summaries: list[dict[str, Any]] = []
+        for replica in self.healthy_replicas():
+            try:
+                summaries.extend(replica.client.jobs())
+            except ServiceError as exc:
+                self._mark_failure(replica, str(exc))
+        with self._lock:
+            local = list(self._local.values())
+        summaries.extend(
+            {key: value for key, value in record.items() if key != "result"}
+            for record in local
+        )
+        return summaries
+
+    def cancel(self, job_id: str) -> bool:
+        """``True`` cancelled, ``False`` already finished."""
         with self._lock:
             local = self._local.get(job_id)
         if local is not None:
@@ -419,7 +432,7 @@ class Dispatcher:
                     return False
                 self._store.request_cancel(job_id)
                 return True
-        return None
+        raise UnknownJobError(job_id)
 
     def events(self, job_id: str, after: int = 0):
         """``(events, done)`` like the manager's, across the cluster.
@@ -451,7 +464,7 @@ class Dispatcher:
                     for seq, event in self._store.events(job_id, after)
                 ]
                 return events, data.get("state") in _TERMINAL
-        raise KeyError(job_id)
+        raise UnknownJobError(job_id)
 
     def _replica_events(
         self, replica: Replica, job_id: str, after: int
@@ -504,217 +517,3 @@ class Dispatcher:
             "counters": counters,
             "replicas": [r.to_dict() for r in self.replicas],
         }
-
-
-class DispatcherRequestHandler(BaseHTTPRequestHandler):
-    """The dispatcher's HTTP face — route-compatible with a replica."""
-
-    server_version = "etransform-dispatcher/1.0"
-    protocol_version = "HTTP/1.1"
-
-    @property
-    def dispatcher(self) -> Dispatcher:
-        return self.server.dispatcher  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args) -> None:
-        if self.server.verbose:  # type: ignore[attr-defined]
-            super().log_message(format, *args)
-
-    def _send_json(
-        self,
-        status: int,
-        body: dict[str, Any],
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _error(
-        self, status: int, message: str, headers: dict[str, str] | None = None
-    ) -> None:
-        self._send_json(status, {"error": message}, headers=headers)
-
-    def do_GET(self) -> None:  # noqa: N802
-        parts = urllib.parse.urlsplit(self.path)
-        path = parts.path.rstrip("/") or "/"
-        if path == "/healthz":
-            health = self.dispatcher.healthz()
-            self._send_json(200 if health["status"] == "ok" else 503, health)
-        elif path == "/metrics":
-            self._send_json(200, self.dispatcher.stats())
-        elif path.startswith("/jobs/") and path.endswith("/events"):
-            job_id = path.removeprefix("/jobs/").removesuffix("/events")
-            query = urllib.parse.parse_qs(parts.query)
-            try:
-                after = int(query.get("after", ["0"])[0])
-            except ValueError:
-                self._error(400, "query parameter 'after' must be an integer")
-                return
-            self._stream_events(job_id, after)
-        elif path.startswith("/jobs/"):
-            record = self.dispatcher.job(path.removeprefix("/jobs/"))
-            if record is None:
-                self._error(404, "no such job")
-            else:
-                self._send_json(200, record)
-        else:
-            self._error(404, f"no route {self.path!r}")
-
-    def _stream_events(self, job_id: str, after: int) -> None:
-        try:
-            events, done = self.dispatcher.events(job_id, after)
-        except KeyError:
-            self._error(404, "no such job")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Cache-Control", "no-cache")
-        self.end_headers()
-
-        def chunk(data: bytes) -> None:
-            self.wfile.write(
-                f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n"
-            )
-            self.wfile.flush()
-
-        try:
-            while True:
-                for event in events:
-                    chunk(json.dumps(event).encode("utf-8") + b"\n")
-                    after = max(after, event.get("seq", after))
-                if done:
-                    break
-                time.sleep(0.05)
-                events, done = self.dispatcher.events(job_id, after)
-            chunk(b"")
-        except (BrokenPipeError, ConnectionResetError, KeyError):
-            self.close_connection = True
-
-    def do_POST(self) -> None:  # noqa: N802
-        if self.path.rstrip("/") != "/jobs":
-            self._error(404, f"no route {self.path!r}")
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        try:
-            body = json.loads(raw) if raw else None
-        except json.JSONDecodeError as exc:
-            self._error(400, f"request body is not valid JSON: {exc.msg}")
-            return
-        if not isinstance(body, dict) or not isinstance(body.get("kind"), str):
-            self._error(400, "request body must be a JSON object with 'kind'")
-            return
-        try:
-            record = self.dispatcher.submit(
-                body["kind"],
-                body.get("payload") or {},
-                timeout=body.get("timeout"),
-                max_retries=body.get("max_retries"),
-            )
-        except ClusterQueueFullError as exc:
-            self._error(
-                429, str(exc), headers={"Retry-After": f"{exc.retry_after:.0f}"}
-            )
-        except NoHealthyReplicaError as exc:
-            self._error(503, str(exc))
-        except ServiceError as exc:
-            self._error(exc.status if 400 <= exc.status < 500 else 502, str(exc))
-        except ValueError as exc:
-            self._error(400, str(exc))
-        else:
-            self._send_json(201, record)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        if not self.path.startswith("/jobs/"):
-            self._error(404, f"no route {self.path!r}")
-            return
-        job_id = self.path.rstrip("/").removeprefix("/jobs/")
-        cancelled = self.dispatcher.cancel(job_id)
-        if cancelled is None:
-            self._error(404, "no such job")
-        elif cancelled:
-            self._send_json(200, {"cancelled": True})
-        else:
-            self._error(409, "job already finished")
-
-
-class DispatcherServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        dispatcher: Dispatcher,
-        verbose: bool = False,
-    ) -> None:
-        super().__init__((host, port), DispatcherRequestHandler)
-        from ..http import register_server_socket
-
-        register_server_socket(self.socket)
-        self.dispatcher = dispatcher
-        self.verbose = verbose
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-
-def run_dispatcher(
-    replicas: Iterable[str],
-    host: str = "127.0.0.1",
-    port: int = 8079,
-    store_url: str | None = None,
-    cache_size: int = 256,
-    health_interval: float = 1.0,
-    verbose: bool = False,
-    ready_callback=None,
-    install_signal_handlers: bool = True,
-) -> int:
-    """The ``etransform dispatch`` entry point; serves until SIGTERM."""
-    dispatcher = Dispatcher(
-        replicas,
-        store_url=store_url,
-        cache_size=cache_size,
-        health_interval=health_interval,
-    ).start()
-    # Probe synchronously once so routing works before the first tick.
-    for replica in dispatcher.replicas:
-        dispatcher.probe(replica)
-    try:
-        server = DispatcherServer(host, port, dispatcher, verbose=verbose)
-    except OSError as exc:
-        dispatcher.shutdown()
-        print(f"cannot bind {host}:{port}: {exc}")
-        return 1
-
-    if install_signal_handlers:
-        def _request_stop(signum, frame):
-            threading.Thread(target=server.shutdown, daemon=True).start()
-
-        signal.signal(signal.SIGTERM, _request_stop)
-        signal.signal(signal.SIGINT, _request_stop)
-
-    healthy = len(dispatcher.healthy_replicas())
-    print(
-        f"cluster dispatcher listening on {server.url} "
-        f"({healthy}/{len(dispatcher.replicas)} replicas healthy)",
-        flush=True,
-    )
-    if ready_callback is not None:
-        ready_callback(server)
-    try:
-        server.serve_forever(poll_interval=0.1)
-    finally:
-        server.server_close()
-        dispatcher.shutdown()
-        print("cluster dispatcher stopped", flush=True)
-    return 0

@@ -26,9 +26,9 @@ import time
 from typing import Any
 
 from ..config import ServiceConfig
-from ..http import PlanningServer, run_service
+from ..http import PlanningServer
 from ..manager import JobManager
-from .dispatcher import Dispatcher, DispatcherServer
+from .dispatcher import Dispatcher
 from .store import JobStore
 
 
@@ -41,18 +41,12 @@ class InProcessReplica:
         self.config = config
         self.manager = JobManager(config, store=store)
         self.server: PlanningServer | None = None
-        self._thread: threading.Thread | None = None
 
     def start(self) -> "InProcessReplica":
         self.manager.start()
-        self.server = PlanningServer(self.config, self.manager)
-        self._thread = threading.Thread(
-            target=self.server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name=f"replica-{self.manager.replica_id}",
-            daemon=True,
-        )
-        self._thread.start()
+        self.server = PlanningServer(
+            (self.config.host, self.config.port), self.manager
+        ).start(name=f"replica-{self.manager.replica_id}")
         return self
 
     @property
@@ -63,12 +57,8 @@ class InProcessReplica:
 
     def stop(self, drain: bool = False) -> None:
         if self.server is not None:
-            self.server.shutdown()
-            self.server.server_close()
+            self.server.stop()
             self.server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
         self.manager.shutdown(drain=drain)
 
     def __enter__(self) -> "InProcessReplica":
@@ -208,8 +198,7 @@ class ClusterHarness:
         self.config_overrides = dict(config_overrides or {})
         self.replicas: list[InProcessReplica | SubprocessReplica] = []
         self.dispatcher: Dispatcher | None = None
-        self.dispatcher_server: DispatcherServer | None = None
-        self._dispatcher_thread: threading.Thread | None = None
+        self.dispatcher_server: PlanningServer | None = None
 
     def start(self) -> "ClusterHarness":
         for index in range(self.n_replicas):
@@ -241,18 +230,9 @@ class ClusterHarness:
             health_interval=self.health_interval,
             eviction_threshold=self.eviction_threshold,
         ).start()
-        for replica_state in self.dispatcher.replicas:
-            self.dispatcher.probe(replica_state)
-        self.dispatcher_server = DispatcherServer(
-            "127.0.0.1", 0, self.dispatcher
-        )
-        self._dispatcher_thread = threading.Thread(
-            target=self.dispatcher_server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="cluster-dispatcher-http",
-            daemon=True,
-        )
-        self._dispatcher_thread.start()
+        self.dispatcher_server = PlanningServer(
+            ("127.0.0.1", 0), self.dispatcher
+        ).start(name="cluster-dispatcher-http")
         return self
 
     @property
@@ -263,12 +243,8 @@ class ClusterHarness:
 
     def stop(self) -> None:
         if self.dispatcher_server is not None:
-            self.dispatcher_server.shutdown()
-            self.dispatcher_server.server_close()
+            self.dispatcher_server.stop()
             self.dispatcher_server = None
-        if self._dispatcher_thread is not None:
-            self._dispatcher_thread.join(timeout=5.0)
-            self._dispatcher_thread = None
         if self.dispatcher is not None:
             self.dispatcher.shutdown()
             self.dispatcher = None

@@ -22,13 +22,11 @@ Records cross the store as wire-encoded blobs
 fallback), not JSON text, so persisting a job costs a memcpy rather
 than a serialize-parse round trip of its state payload.
 
-**Claim semantics.**  :meth:`JobStore.claim` is the exactly-once
-primitive: an atomic compare-and-set on the ``claimed_by`` column.  Of
-N replicas (or a restarted replica re-adopting its own backlog) racing
-to claim one job, exactly one wins; everyone else sees ``False`` and
-moves on.  Cancellation across replicas rides the same table: any
-replica may :meth:`request_cancel`; the owning replica polls the flag
-for its running jobs and kills the worker locally.
+Each record names its owner (``claimed_by``, set by :meth:`JobStore.put`);
+a restarted replica re-adopts its own unfinished jobs through
+``list(claimed_by=...)``.  Cancellation across replicas rides the same
+table: any replica may :meth:`request_cancel`; the owning replica polls
+the flag for its running jobs and kills the worker locally.
 """
 
 from __future__ import annotations
@@ -67,14 +65,6 @@ class JobStore:
         states: Iterable[str] | None = None,
     ) -> list[dict[str, Any]]:
         """Stored records, optionally filtered by owner and/or state."""
-        raise NotImplementedError
-
-    def claim(self, job_id: str, owner: str) -> bool:
-        """Atomically claim an unclaimed job; ``True`` for the one winner."""
-        raise NotImplementedError
-
-    def release(self, job_id: str) -> None:
-        """Drop the claim so another replica may adopt the job."""
         raise NotImplementedError
 
     def request_cancel(self, job_id: str) -> bool:
@@ -141,18 +131,6 @@ class MemoryJobStore(JobStore):
                 if (claimed_by is None or self._claims.get(job_id) == claimed_by)
                 and (states is None or record.get("state") in states)
             ]
-
-    def claim(self, job_id: str, owner: str) -> bool:
-        with self._lock:
-            if job_id not in self._records or self._claims.get(job_id) is not None:
-                return False
-            self._claims[job_id] = owner
-            return True
-
-    def release(self, job_id: str) -> None:
-        with self._lock:
-            if job_id in self._claims:
-                self._claims[job_id] = None
 
     def request_cancel(self, job_id: str) -> bool:
         with self._lock:
@@ -262,25 +240,6 @@ class SqliteJobStore(JobStore):
         with self._lock:
             rows = self._conn.execute(query + " ORDER BY updated_at", params).fetchall()
         return [decode_payload(row[0]) for row in rows]
-
-    def claim(self, job_id: str, owner: str) -> bool:
-        # The exactly-once primitive: the UPDATE's WHERE clause only
-        # matches an unclaimed row, and SQLite serializes writers, so
-        # concurrent claimants see rowcount 1 for exactly one of them.
-        with self._lock:
-            cursor = self._conn.execute(
-                "UPDATE jobs SET claimed_by = ?, updated_at = ? "
-                "WHERE id = ? AND claimed_by IS NULL",
-                (owner, time.time(), job_id),
-            )
-            return cursor.rowcount == 1
-
-    def release(self, job_id: str) -> None:
-        with self._lock:
-            self._conn.execute(
-                "UPDATE jobs SET claimed_by = NULL, updated_at = ? WHERE id = ?",
-                (time.time(), job_id),
-            )
 
     def request_cancel(self, job_id: str) -> bool:
         with self._lock:

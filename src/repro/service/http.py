@@ -1,4 +1,11 @@
-"""The stdlib HTTP JSON API over :class:`JobManager`.
+"""The stdlib HTTP JSON API of ``etransform serve`` and ``etransform dispatch``.
+
+One handler serves both.  The server wraps a *front*: a
+:class:`JobManager` (a replica) or a
+:class:`~repro.service.cluster.dispatcher.Dispatcher` (the cluster's
+front door).  Both fronts answer the same calls — ``submit``, ``get``,
+``jobs``, ``events``, ``cancel``, ``healthz``, ``stats`` — and raise the
+same exceptions, so every route below works identically on either.
 
 Routes::
 
@@ -9,14 +16,15 @@ Routes::
     GET    /jobs/{id}/events   chunked ndjson event stream
                           (?after=N resumes mid-stream)          → 200/404
     DELETE /jobs/{id}     cancel                                 → 200/404/409
-    GET    /healthz       liveness + worker census               → 200/503
-    GET    /metrics       queues, jobs by state, cache, solve-time
-                          histograms, telemetry counters         → 200
+    GET    /healthz       liveness + worker or replica census    → 200/503
+    GET    /metrics       queues, jobs, cache, counters          → 200
 
 Errors are JSON too: ``{"error": "..."}`` with 400 for malformed
 requests, 404 for unknown ids, 409 for cancelling a finished job, 429
 with a ``Retry-After`` header when admission control rejects a
-submission, and 503 while draining.  ``POST /jobs`` bodies may be
+submission (on a dispatcher: when every replica did), 502 when a
+replica answers a dispatcher with anything but a 4xx, and 503 while
+draining or with no healthy replica.  ``POST /jobs`` bodies may be
 JSON or the compact binary wire format (``Content-Type:
 application/x-etransform-wire``, :mod:`repro.io.wire`).  Built on
 :class:`http.server.ThreadingHTTPServer` — requests are cheap
@@ -35,12 +43,14 @@ import time
 import urllib.parse
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Iterable
 
 from ..io.wire import WIRE_CONTENT_TYPE, WireFormatError, decode_payload
+from .client import ServiceError
+from .cluster.dispatcher import Dispatcher
 from .config import ServiceConfig
 from .executor import PayloadError
-from .jobs import JobState
+from .jobs import JobRecord
 from .manager import (
     JobManager,
     QueueFullError,
@@ -48,8 +58,11 @@ from .manager import (
     UnknownJobError,
 )
 
-#: How often the event stream re-polls the manager for fresh events.
+#: How often the event stream re-polls the front for fresh events.
 STREAM_POLL_INTERVAL = 0.05
+
+#: What a front raises for a request it cannot serve (see ``_fail``).
+_FRONT_ERRORS = (UnknownJobError, QueueFullError, ServiceUnavailableError, ServiceError)
 
 #: Listening sockets to close in forked children (see below).
 _LISTENING_SOCKETS: "weakref.WeakSet" = weakref.WeakSet()
@@ -81,6 +94,19 @@ def register_server_socket(sock) -> None:
     _LISTENING_SOCKETS.add(sock)
 
 
+def _record_dict(
+    record: "JobRecord | dict[str, Any]", include_result: bool = True
+) -> dict[str, Any]:
+    """A front's job record as the wire dict.
+
+    The manager returns :class:`JobRecord` objects; the dispatcher
+    relays the replicas' dicts as they came.
+    """
+    if isinstance(record, JobRecord):
+        return record.to_dict(include_result=include_result)
+    return record
+
+
 class PlanningRequestHandler(BaseHTTPRequestHandler):
     server_version = "etransform-planning/1.0"
     protocol_version = "HTTP/1.1"
@@ -88,8 +114,8 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     @property
-    def manager(self) -> JobManager:
-        return self.server.manager  # type: ignore[attr-defined]
+    def front(self) -> "JobManager | Dispatcher":
+        return self.server.front  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:
         if self.server.verbose:  # type: ignore[attr-defined]
@@ -114,6 +140,26 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
         self, status: int, message: str, headers: dict[str, str] | None = None
     ) -> None:
         self._send_json(status, {"error": message}, headers=headers)
+
+    def _fail(self, exc: Exception) -> None:
+        """Answer with the status ``exc`` maps to (one contract, both fronts)."""
+        headers = None
+        message = str(exc)
+        if isinstance(exc, UnknownJobError):
+            status, message = 404, "no such job"
+        elif isinstance(exc, QueueFullError):
+            status = 429
+            headers = {"Retry-After": f"{exc.retry_after:.0f}"}
+        elif isinstance(exc, ServiceUnavailableError):
+            status = 503
+        elif isinstance(exc, ServiceError):
+            # A replica's answer relayed by the dispatcher: its 4xx
+            # verdict stands; anything else is a bad gateway.
+            status = exc.status if 400 <= exc.status < 500 else 502
+            message = exc.message
+        else:  # PayloadError, ValueError, TypeError: a malformed request
+            status = 400
+        self._error(status, message, headers=headers)
 
     def _read_body(self) -> dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -147,39 +193,34 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         parts = urllib.parse.urlsplit(self.path)
         path = parts.path.rstrip("/") or "/"
-        if path.startswith("/jobs/") and path.endswith("/events"):
-            job_id = path.removeprefix("/jobs/").removesuffix("/events")
-            query = urllib.parse.parse_qs(parts.query)
-            try:
-                after = int(query.get("after", ["0"])[0])
-            except ValueError:
-                self._error(400, "query parameter 'after' must be an integer")
-                return
-            self._stream_events(job_id, after)
-        elif path == "/healthz":
-            health = self.manager.healthz()
-            self._send_json(200 if health["status"] == "ok" else 503, health)
-        elif path == "/metrics":
-            self._send_json(200, self.manager.stats())
-        elif path == "/jobs":
-            self._send_json(
-                200,
-                {
-                    "jobs": [
-                        job.to_dict(include_result=False)
-                        for job in self.manager.jobs()
-                    ]
-                },
-            )
-        elif path.startswith("/jobs/"):
-            try:
-                record = self.manager.get(path.removeprefix("/jobs/"))
-            except UnknownJobError:
-                self._error(404, "no such job")
-                return
-            self._send_json(200, record.to_dict())
-        else:
-            self._error(404, f"no route {self.path!r}")
+        try:
+            if path.startswith("/jobs/") and path.endswith("/events"):
+                job_id = path.removeprefix("/jobs/").removesuffix("/events")
+                query = urllib.parse.parse_qs(parts.query)
+                try:
+                    after = int(query.get("after", ["0"])[0])
+                except ValueError:
+                    self._error(400, "query parameter 'after' must be an integer")
+                    return
+                self._stream_events(job_id, after)
+            elif path == "/healthz":
+                health = self.front.healthz()
+                self._send_json(200 if health["status"] == "ok" else 503, health)
+            elif path == "/metrics":
+                self._send_json(200, self.front.stats())
+            elif path == "/jobs":
+                jobs = self.front.jobs()
+                self._send_json(
+                    200,
+                    {"jobs": [_record_dict(job, include_result=False) for job in jobs]},
+                )
+            elif path.startswith("/jobs/"):
+                record = self.front.get(path.removeprefix("/jobs/"))
+                self._send_json(200, _record_dict(record))
+            else:
+                self._error(404, f"no route {self.path!r}")
+        except _FRONT_ERRORS as exc:
+            self._fail(exc)
 
     def _stream_events(self, job_id: str, after: int) -> None:
         """``GET /jobs/{id}/events``: chunked ndjson until terminal.
@@ -189,11 +230,7 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
         The stream closes itself once the job reaches a terminal state
         (the final ``state`` event is always delivered first).
         """
-        try:
-            events, done = self.manager.events(job_id, after)
-        except UnknownJobError:
-            self._error(404, "no such job")
-            return
+        events, done = self.front.events(job_id, after)  # 404 before headers
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
@@ -207,7 +244,7 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
                 if done:
                     break
                 time.sleep(STREAM_POLL_INTERVAL)
-                events, done = self.manager.events(job_id, after)
+                events, done = self.front.events(job_id, after)
             self._write_chunk(b"")
         except (BrokenPipeError, ConnectionResetError, UnknownJobError):
             # Watcher went away (or the record was evicted mid-stream);
@@ -223,31 +260,25 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
             kind = body.get("kind")
             if not isinstance(kind, str):
                 raise PayloadError("field 'kind' must be a job kind string")
-            record = self.manager.submit(
+            record = self.front.submit(
                 kind,
                 body.get("payload") or {},
                 timeout=body.get("timeout"),
                 max_retries=body.get("max_retries"),
             )
-        except QueueFullError as exc:
-            self._error(
-                429, str(exc), headers={"Retry-After": f"{exc.retry_after:.0f}"}
-            )
-        except ServiceUnavailableError as exc:
-            self._error(503, str(exc))
-        except (PayloadError, ValueError, TypeError) as exc:
-            self._error(400, str(exc))
+        except (*_FRONT_ERRORS, PayloadError, ValueError, TypeError) as exc:
+            self._fail(exc)
         else:
-            self._send_json(201, record.to_dict())
+            self._send_json(201, _record_dict(record))
 
     def do_DELETE(self) -> None:  # noqa: N802
         if not self.path.startswith("/jobs/"):
             self._error(404, f"no route {self.path!r}")
             return
         try:
-            cancelled = self.manager.cancel(self.path.rstrip("/").removeprefix("/jobs/"))
-        except UnknownJobError:
-            self._error(404, "no such job")
+            cancelled = self.front.cancel(self.path.rstrip("/").removeprefix("/jobs/"))
+        except _FRONT_ERRORS as exc:
+            self._fail(exc)
             return
         if cancelled:
             self._send_json(200, {"cancelled": True})
@@ -256,71 +287,130 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
 
 
 class PlanningServer(ThreadingHTTPServer):
-    """The HTTP front end; owns nothing but the listening socket."""
+    """The HTTP front end over ``front``; owns the socket and, once
+    :meth:`start` ran, the thread serving it."""
 
     daemon_threads = True
 
-    def __init__(self, config: ServiceConfig, manager: JobManager, verbose: bool = False):
-        super().__init__((config.host, config.port), PlanningRequestHandler)
+    def __init__(
+        self,
+        address: tuple[str, int],
+        front: "JobManager | Dispatcher",
+        verbose: bool = False,
+    ) -> None:
+        super().__init__(address, PlanningRequestHandler)
         register_server_socket(self.socket)
-        self.manager = manager
+        self.front = front
         self.verbose = verbose
+        self._thread: threading.Thread | None = None
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def start(self, name: str = "planning-http") -> "PlanningServer":
+        """Serve from a daemon thread (in-process replicas, clusters, tests)."""
+        self._thread = threading.Thread(
+            target=self.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name=name,
+            daemon=True,
+        )
+        self._thread.start()
+        return self
 
-def run_service(
-    config: ServiceConfig,
+    def stop(self) -> None:
+        """Stop the :meth:`start` thread, if any, and close the socket."""
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join(timeout=5.0)
+            self._thread = None
+        self.server_close()
+
+
+def serve(
+    front: "JobManager | Dispatcher",
+    host: str,
+    port: int,
+    label: str,
+    detail: str,
     verbose: bool = False,
-    ready_callback=None,
-    install_signal_handlers: bool = True,
 ) -> int:
-    """Boot the manager + HTTP server and serve until SIGTERM/SIGINT.
+    """Serve a started ``front`` until SIGTERM/SIGINT, then shut it down.
 
-    The ``repro serve`` CLI entry point.  ``port 0`` binds an ephemeral
-    port; the bound address is printed (and passed to
-    ``ready_callback``) so callers can discover it.  On SIGTERM the
-    service drains: in-flight and queued jobs finish (up to
-    ``drain_timeout``), workers exit, then the process does — exit code
-    0 on a clean drain, 1 otherwise.
+    The one serve loop of ``etransform serve`` and ``etransform
+    dispatch``.  ``port 0`` binds an ephemeral port; the banner
+    ``<label> listening on <url> (<detail>)`` names the bound address
+    (replica harnesses parse it).  ``front.shutdown()`` returns whether
+    it stopped cleanly: exit code 0 if so, 1 otherwise.
     """
-    manager = JobManager(config).start()
     try:
-        server = PlanningServer(config, manager, verbose=verbose)
+        server = PlanningServer((host, port), front, verbose=verbose)
     except OSError as exc:
-        manager.shutdown(drain=False)
-        print(f"cannot bind {config.host}:{config.port}: {exc}")
+        front.shutdown()
+        print(f"cannot bind {host}:{port}: {exc}")
         return 1
-    stop = threading.Event()
 
-    if install_signal_handlers:
-        def _request_stop(signum, frame):
-            stop.set()
-            # Wake serve_forever promptly; shutdown() must come from
-            # another thread than the serving one.
-            threading.Thread(target=server.shutdown, daemon=True).start()
+    def _request_stop(signum, frame):
+        # Wake serve_forever promptly; shutdown() must come from
+        # another thread than the serving one.
+        threading.Thread(target=server.shutdown, daemon=True).start()
 
-        signal.signal(signal.SIGTERM, _request_stop)
-        signal.signal(signal.SIGINT, _request_stop)
-
-    print(
-        f"planning service listening on {server.url} "
-        f"({config.workers} workers, journal={config.journal_path or 'off'})",
-        flush=True,
-    )
-    if ready_callback is not None:
-        ready_callback(server)
+    signal.signal(signal.SIGTERM, _request_stop)
+    signal.signal(signal.SIGINT, _request_stop)
+    print(f"{label} listening on {server.url} ({detail})", flush=True)
     try:
         server.serve_forever(poll_interval=0.1)
     finally:
         server.server_close()
-        drained = manager.shutdown(drain=True)
+        clean = front.shutdown()
         print(
-            "planning service stopped "
-            + ("(drained cleanly)" if drained else "(drain timed out)"),
+            f"{label} stopped "
+            + ("(drained cleanly)" if clean else "(drain timed out)"),
             flush=True,
         )
-    return 0 if drained else 1
+    return 0 if clean else 1
+
+
+def run_service(config: ServiceConfig, verbose: bool = False) -> int:
+    """The ``etransform serve`` entry point: a :class:`JobManager` front.
+
+    On SIGTERM the service drains: in-flight and queued jobs finish (up
+    to ``drain_timeout``), workers exit, then the process does.
+    """
+    return serve(
+        JobManager(config).start(),
+        config.host,
+        config.port,
+        "planning service",
+        f"{config.workers} workers, journal={config.journal_path or 'off'}",
+        verbose=verbose,
+    )
+
+
+def run_dispatcher(
+    replicas: Iterable[str],
+    host: str = "127.0.0.1",
+    port: int = 8079,
+    store_url: str | None = None,
+    cache_size: int = 256,
+    health_interval: float = 1.0,
+    verbose: bool = False,
+) -> int:
+    """The ``etransform dispatch`` entry point: a :class:`Dispatcher` front."""
+    dispatcher = Dispatcher(
+        replicas,
+        store_url=store_url,
+        cache_size=cache_size,
+        health_interval=health_interval,
+    ).start()
+    healthy = len(dispatcher.healthy_replicas())
+    return serve(
+        dispatcher,
+        host,
+        port,
+        "cluster dispatcher",
+        f"{healthy}/{len(dispatcher.replicas)} replicas healthy",
+        verbose=verbose,
+    )

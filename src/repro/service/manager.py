@@ -72,22 +72,21 @@ declare_counters(__name__, SERVICE_COUNTERS)
 
 
 class ServiceUnavailableError(RuntimeError):
-    """The manager is draining/stopped and accepts no new jobs."""
+    """No job can be accepted now (maps to HTTP 503): the manager is
+    draining or stopped, or a dispatcher has no healthy replica."""
 
 
 class QueueFullError(RuntimeError):
     """Admission control rejected the job (maps to HTTP 429).
 
     ``retry_after`` estimates, in seconds, when the queue should have
-    drained enough to try again (the ``Retry-After`` header value).
+    drained enough to try again (the ``Retry-After`` header value).  A
+    dispatcher raises it when every healthy replica answered 429.
     """
 
-    def __init__(self, depth: int, limit: int, retry_after: float) -> None:
+    def __init__(self, reason: str, retry_after: float) -> None:
         self.retry_after = retry_after
-        super().__init__(
-            f"job queue is full ({depth} queued, limit {limit}); "
-            f"retry in {retry_after:.0f}s"
-        )
+        super().__init__(f"{reason}; retry in {retry_after:.0f}s")
 
 
 class UnknownJobError(KeyError):
@@ -371,7 +370,9 @@ class JobManager:
         )
         metrics.increment("service.jobs.rejected")
         self._log_event(event="rejected", queue_depth=depth, limit=limit)
-        raise QueueFullError(depth, limit, retry_after)
+        raise QueueFullError(
+            f"job queue is full ({depth} queued, limit {limit})", retry_after
+        )
 
     def get(self, job_id: str) -> JobRecord:
         with self._lock:

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from repro.core import hint_repair
 from repro.core.costs import StepCostFunction
 from repro.core.hint_repair import make_hint_repairer
 from repro.datasets import online_line_scenario, online_line_trace
+from repro.io.serialization import state_to_dict
 from repro.lp import SolveStatus, solve
 from repro.lp.sparse import bound_arrays
 from repro.online import ReplayConfig, run_replay
@@ -308,6 +314,58 @@ class TestPolishTies:
         assert {"mid", "mid-twin"} & set(_placement(model, hint).values())
         assert make_hint_repairer(model)(model.problem, hint) is None
         assert make_scalar_hint_repairer(model)(model.problem, hint) is None
+
+
+#: Forbid "bi" everywhere but two twin sites, both empty in the hint, and
+#: print the twin each repairer (array, scalar oracle) relocates it to.
+_TIE_CHILD = """
+import json, sys
+from repro.core import ConsolidationModel, Directive, PlannerOptions, RevisionedModel
+from repro.core.hint_repair import make_hint_repairer
+from repro.io.serialization import state_from_dict
+from tests.oracles.hint_repair import make_scalar_hint_repairer
+
+model = ConsolidationModel(state_from_dict(json.load(sys.stdin)), PlannerOptions())
+hint = {var.name: float(dc == "cheap-far") for (g, dc), var in model.x.items()}
+engine = RevisionedModel(model)
+for site in ("cheap-far", "east-dc"):
+    engine.apply(Directive("forbid", group="bi", datacenter=site))
+picks = []
+for make in (make_hint_repairer, make_scalar_hint_repairer):
+    point = make(model)(model.problem, hint)
+    picks += [dc for (g, dc), var in model.x.items() if g == "bi" and point[var.name] > 0.5]
+print(json.dumps(picks))
+"""
+
+
+class TestRepairTies:
+    def test_a_destination_price_tie_does_not_depend_on_string_hashing(
+        self, tiny_state
+    ):
+        # Relocating onto either of two identical empty sites costs the
+        # same to the cent; the pick must not follow set iteration order,
+        # which changes with PYTHONHASHSEED from one process to the next.
+        twin = dataclasses.replace(tiny_state.target_datacenters[1], name="mid-twin")
+        tiny_state.target_datacenters = [
+            dataclasses.replace(dc, space_cost=StepCostFunction.flat(100.0))
+            for dc in (*tiny_state.target_datacenters, twin)
+        ]
+        doc = json.dumps(state_to_dict(tiny_state))
+        root = Path(__file__).resolve().parents[2]
+        picks = set()
+        for seed in ("0", "1", "2", "3", "4", "5"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", _TIE_CHILD],
+                input=doc, capture_output=True, text=True, env=env, cwd=root,
+                check=True, timeout=120,
+            ).stdout
+            picks.add(tuple(json.loads(out)))
+        assert picks == {("mid", "mid")}  # sorted-name order: the first twin
 
 
 class TestArrayMoves:

@@ -33,6 +33,12 @@ class TestSolveOptionsValidation:
         with pytest.raises(ValueError, match="supported options"):
             SolveOptions(cover_cut_rounds=1).validate_for("highs")
 
+    def test_auto_rejects_builtin_only_options(self):
+        # `auto` runs HiGHS, which never reads node_limit.
+        assert BACKEND_OPTION_FIELDS["auto"] == BACKEND_OPTION_FIELDS["highs"]
+        with pytest.raises(ValueError, match="node_limit"):
+            solve(knapsack(), "auto", SolveOptions(node_limit=1))
+
     def test_unknown_backend_accepts_everything(self):
         SolveOptions(mip_rel_gap=0.5, node_limit=3).validate_for("my_custom")
 

@@ -212,7 +212,7 @@ def make_scalar_hint_repairer(
 
         def cheapest_destination(g: str) -> str | None:
             best, best_delta = None, None
-            for dst in allowed[g]:
+            for dst in sorted(allowed[g]):  # ties: the first name wins
                 if not gates_ok(g, dst):
                     continue
                 delta = move_delta(g, dst)

@@ -8,7 +8,6 @@ probes) and at admission control on a deliberately tiny queue.
 from __future__ import annotations
 
 import socket
-import threading
 import time
 
 import pytest
@@ -28,18 +27,14 @@ from .conftest import VERY_SLOW_HORIZON, plan_payload, sim_payload
 def service(make_manager):
     def boot(**overrides):
         manager = make_manager(**overrides)
-        server = PlanningServer(manager.config.replace(port=0), manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append((server, thread))
+        server = PlanningServer(("127.0.0.1", 0), manager).start()
+        servers.append(server)
         return manager, server
 
     servers: list = []
     yield boot
-    for server, thread in servers:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
+    for server in servers:
+        server.stop()
 
 
 def closed_port() -> int:

@@ -11,7 +11,14 @@ import time
 
 import pytest
 
-from repro.service import ServiceClient, ServiceConfig, ServiceError
+from repro.service import (
+    QueueFullError,
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    ServiceUnavailableError,
+    UnknownJobError,
+)
 from repro.service.cluster import (
     ClusterHarness,
     Dispatcher,
@@ -91,6 +98,30 @@ class TestRoutingAndCache:
         # The synthesized record is retrievable like any other.
         fetched = cluster_client.job(again["id"])
         assert fetched["state"] == "succeeded"
+
+
+class TestRouteParity:
+    """What a replica serves, the dispatcher serves the same way."""
+
+    def test_binary_wire_submission(self, cluster, tiny_state):
+        client = ServiceClient(cluster.url, timeout=30.0, binary=True)
+        job = client.submit_plan(tiny_state, options={"backend": "highs"})
+        done = client.wait(job["id"], timeout=60.0)
+        assert done["result"]["summary"]["total_cost"] > 0
+
+    def test_listing_covers_replica_and_cache_born_jobs(
+        self, cluster_client, state_doc
+    ):
+        payload = plan_payload(state_doc)
+        solved = cluster_client.wait(
+            cluster_client.submit("plan", payload)["id"], timeout=60.0
+        )
+        again = cluster_client.submit("plan", payload)
+        assert again["via"] == "dispatcher-cache"
+        listed = {job["id"]: job for job in cluster_client.jobs()}
+        assert {solved["id"], again["id"]} <= set(listed)
+        assert listed[solved["id"]]["state"] == "succeeded"
+        assert all("result" not in job for job in listed.values())
 
 
 class TestReplicaFailure:
@@ -183,6 +214,15 @@ class TestReplicaFailure:
         )
         dispatcher.probe(dispatcher.replicas[0])
         assert dispatcher.healthy_replicas() == []
+        with pytest.raises(ServiceUnavailableError):
+            dispatcher.submit("plan", plan_payload(state_doc))
+        # With no replica and no store, no id is known anywhere.
+        with pytest.raises(UnknownJobError):
+            dispatcher.get("ghost")
+        with pytest.raises(UnknownJobError):
+            dispatcher.cancel("ghost")
+        with pytest.raises(UnknownJobError):
+            dispatcher.events("ghost")
 
 
 class TestBackpressure:
@@ -267,6 +307,49 @@ class TestBackpressure:
         assert done["replica"] != f"replica-{home_index}"
         for job_id in held:
             direct.cancel(job_id)
+
+
+class TestDispatcherErrors:
+    """The dispatcher raises the manager's exceptions (no HTTP involved)."""
+
+    @staticmethod
+    def answering(dispatcher, monkeypatch, *errors: ServiceError) -> None:
+        """Make replica ``i`` answer every submission with ``errors[i]``."""
+        for replica, error in zip(dispatcher.replicas, errors):
+
+            def submit(*args, error=error, **kwargs):
+                raise error
+
+            monkeypatch.setattr(replica.client, "submit", submit)
+
+    def test_every_replica_429_is_queue_full(self, monkeypatch, state_doc):
+        dispatcher = Dispatcher(["http://127.0.0.1:9", "http://127.0.0.1:10"])
+        self.answering(
+            dispatcher,
+            monkeypatch,
+            ServiceError(429, "queue full", retry_after=2.0),
+            ServiceError(429, "queue full", retry_after=5.0),
+        )
+        with pytest.raises(QueueFullError) as excinfo:
+            dispatcher.submit("plan", plan_payload(state_doc))
+        assert excinfo.value.retry_after == 5.0  # the largest quote
+
+    def test_failing_replicas_are_unavailable(self, monkeypatch, state_doc):
+        dispatcher = Dispatcher(["http://127.0.0.1:9", "http://127.0.0.1:10"])
+        self.answering(
+            dispatcher, monkeypatch, ServiceError(500, "boom"), ServiceError(0, "down")
+        )
+        with pytest.raises(ServiceUnavailableError):
+            dispatcher.submit("plan", plan_payload(state_doc))
+
+    def test_a_replica_4xx_passes_through(self, monkeypatch, state_doc):
+        dispatcher = Dispatcher(["http://127.0.0.1:9"])
+        self.answering(dispatcher, monkeypatch, ServiceError(400, "bad payload"))
+        with pytest.raises(ServiceError) as excinfo:
+            dispatcher.submit("plan", plan_payload(state_doc))
+        assert excinfo.value.status == 400
+        with pytest.raises(ValueError):
+            dispatcher.submit("transmogrify", plan_payload(state_doc))
 
 
 class TestStoreBackedManagerUnit:

@@ -2,25 +2,23 @@
 
 A real :class:`PlanningServer` is bound to an ephemeral port with a
 real worker pool behind it; the client drives it over actual sockets.
+The error contract is checked twice: against a replica and against a
+one-replica cluster's dispatcher, which the same handler serves.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
-import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
-from repro.service import (
-    JobManager,
-    JobState,
-    PlanningServer,
-    ServiceClient,
-    ServiceConfig,
-    ServiceError,
-)
+from repro.service import PlanningServer, ServiceClient, ServiceError
+from repro.service.cluster import ClusterHarness
 
 from .conftest import SLOW_HORIZON, plan_payload, sim_payload
 
@@ -29,16 +27,31 @@ from .conftest import SLOW_HORIZON, plan_payload, sim_payload
 def service(make_manager):
     """(manager, client) for a live server on an ephemeral port."""
     manager = make_manager()
-    config = manager.config.replace(port=0)
-    server = PlanningServer(config, manager)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = PlanningServer(("127.0.0.1", 0), manager).start()
     try:
         yield manager, ServiceClient(server.url, timeout=10.0)
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
+        server.stop()
+
+
+@pytest.fixture(params=["replica", "dispatcher"])
+def client(request):
+    """A client of either front: a replica, or a dispatcher before one."""
+    if request.param == "replica":
+        yield request.getfixturevalue("service")[1]
+        return
+    with ClusterHarness(n_replicas=1, workers_per_replica=1) as cluster:
+        yield ServiceClient(cluster.url, timeout=10.0)
+
+
+def post_raw(client: ServiceClient, data: bytes) -> urllib.error.HTTPError:
+    """POST ``data`` to ``/jobs`` as is; returns the error response."""
+    request = urllib.request.Request(
+        client.base_url + "/jobs", data=data, method="POST"
+    )
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request, timeout=10.0)
+    return err.value
 
 
 class TestJobRoutes:
@@ -108,33 +121,28 @@ class TestJobRoutes:
 
 
 class TestErrorMapping:
-    def test_unknown_job_is_404(self, service):
-        _, client = service
+    def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as err:
             client.job("doesnotexist")
         assert err.value.status == 404
 
-    def test_unknown_route_is_404(self, service):
-        _, client = service
+    def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError) as err:
             client._request("GET", "/nope")
         assert err.value.status == 404
 
-    def test_malformed_payload_is_400(self, service):
-        _, client = service
+    def test_malformed_payload_is_400(self, client):
         with pytest.raises(ServiceError) as err:
             client.submit("plan", {"options": {}})  # no state
         assert err.value.status == 400
         assert "state" in str(err.value)
 
-    def test_unknown_kind_is_400(self, service, state_doc):
-        _, client = service
+    def test_unknown_kind_is_400(self, client, state_doc):
         with pytest.raises(ServiceError) as err:
             client.submit("transmogrify", plan_payload(state_doc))
         assert err.value.status == 400
 
-    def test_string_timeout_is_400(self, service, state_doc):
-        _, client = service
+    def test_string_timeout_is_400(self, client, state_doc):
         with pytest.raises(ServiceError) as err:
             client._request(
                 "POST",
@@ -142,10 +150,10 @@ class TestErrorMapping:
                 {"kind": "plan", "payload": plan_payload(state_doc), "timeout": "10"},
             )
         assert err.value.status == 400
-        assert "timeout" in str(err.value)
+        # The replica's own message, not re-wrapped by a dispatcher.
+        assert err.value.message == "field 'timeout' must be a number of seconds"
 
-    def test_string_max_retries_is_400(self, service, state_doc):
-        _, client = service
+    def test_string_max_retries_is_400(self, client, state_doc):
         with pytest.raises(ServiceError) as err:
             client._request(
                 "POST",
@@ -159,19 +167,33 @@ class TestErrorMapping:
         assert err.value.status == 400
         assert "max_retries" in str(err.value)
 
-    def test_non_json_body_is_400(self, service):
-        _, client = service
-        import urllib.request
+    def test_non_json_body_is_400(self, client):
+        err = post_raw(client, b"not json")
+        assert err.code == 400
+        assert b"request body is not valid JSON" in err.read()
 
-        request = urllib.request.Request(
-            client.base_url + "/jobs", data=b"not json", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request, timeout=10.0)
-        assert err.value.code == 400
+    def test_non_object_body_is_400(self, client):
+        err = post_raw(client, b"[1, 2]")
+        assert err.code == 400
+        assert json.loads(err.read()) == {"error": "request body must be a JSON object"}
 
-    def test_cancelling_finished_job_is_409(self, service, state_doc):
-        _, client = service
+    def test_unknown_job_cancel_is_404(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.cancel("doesnotexist")
+        assert err.value.status == 404
+
+    def test_unknown_job_events_is_404(self, client):
+        with pytest.raises(ServiceError) as err:
+            list(client.stream("doesnotexist"))
+        assert err.value.status == 404
+
+    def test_bad_after_parameter_is_400(self, client, state_doc):
+        job = client.submit("plan", plan_payload(state_doc))
+        with pytest.raises(ServiceError) as err:
+            list(client.stream(job["id"], after="bogus"))
+        assert err.value.status == 400
+
+    def test_cancelling_finished_job_is_409(self, client, state_doc):
         job = client.submit("plan", plan_payload(state_doc))
         client.wait(job["id"], timeout=60.0)
         with pytest.raises(ServiceError) as err:
@@ -200,10 +222,7 @@ class TestIntrospectionRoutes:
 
     def test_draining_service_answers_503(self, make_manager, state_doc):
         manager = make_manager()
-        config = manager.config.replace(port=0)
-        server = PlanningServer(config, manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = PlanningServer(("127.0.0.1", 0), manager).start()
         client = ServiceClient(server.url, timeout=10.0)
         try:
             manager.shutdown(drain=True, timeout=10.0)
@@ -213,6 +232,4 @@ class TestIntrospectionRoutes:
                 client.submit("plan", plan_payload(state_doc))
             assert err.value.status == 503
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
+            server.stop()
