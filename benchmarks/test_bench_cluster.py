@@ -78,7 +78,7 @@ def _run_config(
         latencies = []
         replicas_used = set()
         for job_id in job_ids:
-            done = client.wait(job_id, timeout=300.0, poll_interval=0.02)
+            done = client.wait(job_id, timeout=300.0)
             assert done["state"] == "succeeded", done.get("error")
             latencies.append(done["finished_at"] - done["created_at"])
             replicas_used.add(done["replica"])

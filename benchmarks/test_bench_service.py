@@ -79,7 +79,7 @@ def _service(waves: list[list[dict]]) -> tuple[list[float], dict]:
     is timed separately — wave 1 is all cache misses, so its wall time
     is the pool's cache-cold throughput.
     """
-    config = ServiceConfig(workers=WORKERS, job_timeout=300.0, poll_interval=0.01)
+    config = ServiceConfig(workers=WORKERS, job_timeout=300.0)
     wave_walls: list[float] = []
     with JobManager(config) as manager:
         for wave in waves:

@@ -27,7 +27,7 @@ def main() -> None:
 
     state = load_enterprise1(scale=0.3)
 
-    # -- a plan job: submit, poll, read the result ------------------------
+    # -- a plan job: submit, wait, read the result ------------------------
     job = client.submit_plan(state, options={"backend": "highs"})
     print(f"\nsubmitted plan job {job['id']} ({job['state']})")
     done = client.wait(job["id"])

@@ -6,12 +6,13 @@ like driving the local library::
 
     client = ServiceClient("http://127.0.0.1:8080")
     job = client.submit_plan(state, options={"backend": "highs"})
-    done = client.wait(job["id"])
+    done = client.wait(job["id"])  # follows the job's event stream
     print(done["result"]["summary"]["total_cost"])
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import time
@@ -23,6 +24,9 @@ from typing import Any, Iterator
 from ..core.entities import AsIsState
 from ..io.serialization import state_to_dict
 from ..io.wire import WIRE_CONTENT_TYPE, encode_payload
+
+#: Terminal job states, as the wire spells them.
+TERMINAL = ("succeeded", "failed", "cancelled", "timeout")
 
 
 class ServiceError(RuntimeError):
@@ -234,7 +238,7 @@ class ServiceClient:
         }
         return self.submit("refine", payload, **submit_kwargs)
 
-    # -- polling -----------------------------------------------------------
+    # -- reads -------------------------------------------------------------
 
     def job(self, job_id: str) -> dict[str, Any]:
         return self._request("GET", f"/jobs/{job_id}")
@@ -249,35 +253,64 @@ class ServiceClient:
         self,
         job_id: str,
         timeout: float = 120.0,
-        poll_interval: float = 0.05,
         raise_on_failure: bool = True,
     ) -> dict[str, Any]:
-        """Poll until the job is terminal; returns the final record."""
+        """Block until the job is terminal; returns the final record.
+
+        Follows the job's event stream to its terminal ``state`` event,
+        then reads the record once.  A stream that ends or breaks before
+        that resumes from the last ``seq`` it delivered, until
+        ``timeout`` runs out.
+        """
         deadline = time.monotonic() + timeout
+        after = 0
         while True:
+            remaining = deadline - time.monotonic()
+            if remaining > 0:
+                try:
+                    events = self.stream(job_id, after=after, timeout=remaining)
+                    try:
+                        for event in events:
+                            after = max(after, event["seq"])
+                            if (
+                                event.get("type") == "state"
+                                and event.get("state") in TERMINAL
+                            ):
+                                break
+                    finally:
+                        events.close()
+                except ServiceError as exc:
+                    if exc.status != 0:
+                        raise
             record = self.job(job_id)
-            if record["state"] in ("succeeded", "failed", "cancelled", "timeout"):
+            if record["state"] in TERMINAL:
                 if raise_on_failure and record["state"] != "succeeded":
                     raise JobFailedError(record)
                 return record
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {record['state']} after {timeout}s"
                 )
-            time.sleep(poll_interval)
 
     # -- streaming ---------------------------------------------------------
 
     def stream(
         self, job_id: str, after: int = 0, timeout: float | None = None
     ) -> Iterator[dict[str, Any]]:
-        """Yield the job's events live until it reaches a terminal state.
+        """The job's events, live, until it reaches a terminal state.
 
         Wraps ``GET /jobs/{id}/events`` (chunked ndjson); each yielded
         dict has at least ``seq``/``ts``/``type``.  ``after`` resumes a
         broken stream without replaying delivered events.  ``timeout``
         bounds the *read gap between events*, not the whole stream — a
         healthy long solve ticks progress well inside it.
+
+        The request is made now, so an unknown job or an unreachable
+        service raises :class:`ServiceError` here.  The returned
+        iterator ends when the server closes the stream (after the
+        terminal event); a stream that breaks instead — the server went
+        away, or no event came within ``timeout`` — raises
+        :class:`ServiceError` with status 0.
         """
         request = urllib.request.Request(
             f"{self.base_url}/jobs/{job_id}/events?after={after}", method="GET"
@@ -296,13 +329,25 @@ class ServiceClient:
         except (urllib.error.URLError, OSError) as exc:
             reason = getattr(exc, "reason", exc)
             raise ServiceError(0, f"cannot reach {self.base_url}: {reason}") from None
+        return self._events(response)
+
+    def _events(self, response) -> Iterator[dict[str, Any]]:
         with response:
-            # http.client decodes the chunked framing; readline gives
-            # one ndjson event per call, blocking until it arrives.
-            for line in iter(response.readline, b""):
-                line = line.strip()
-                if line:
-                    yield json.loads(line.decode("utf-8"))
+            try:
+                # read1 returns what the next chunk holds, blocking until
+                # it arrives, and b"" only for the closing chunk: a
+                # connection dropped without one raises IncompleteRead
+                # (readline would swallow that and look like an end).
+                pending = b""
+                while data := response.read1():
+                    *lines, pending = (pending + data).split(b"\n")
+                    for line in lines:
+                        if line.strip():
+                            yield json.loads(line.decode("utf-8"))
+            except (OSError, http.client.HTTPException) as exc:
+                raise ServiceError(
+                    0, f"event stream from {self.base_url} broke: {exc!r}"
+                ) from None
 
     # -- service introspection ---------------------------------------------
 

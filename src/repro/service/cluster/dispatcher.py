@@ -28,11 +28,16 @@ Behind that one contract it:
   ``/healthz``; ``eviction_threshold`` consecutive failures evict a
   replica from routing, a later successful probe re-adds it.  Reads for
   jobs owned by a dead replica fall back to any healthy replica and
-  then to the shared job store, so results outlive their replica.
+  then to the shared job store, so results outlive their replica;
+* **relays event streams** — ``follow`` holds one open stream from the
+  owner replica and passes it on line for line.  The terminal event (or
+  the replica closing the stream) ends it; a stream that breaks resumes
+  from the last ``seq`` on whichever replica answers next, so the
+  watcher sees every event once, in order, across a replica's death.
 
-The dispatcher holds no job state of its own beyond the owner map and
-the result cache — restartable at will; the job store is the durable
-tier.
+The dispatcher holds no job state of its own beyond the owner map, its
+cache-born records (both bounded like a manager's job history) and the
+result cache — restartable at will; the job store is the durable tier.
 """
 
 from __future__ import annotations
@@ -41,11 +46,12 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from ...lp.fingerprint import payload_fingerprint
 from ...telemetry import declare_counters, metrics
-from ..client import ServiceClient, ServiceError
+from ..client import TERMINAL, ServiceClient, ServiceError
+from ..config import ServiceConfig
 from ..jobs import CACHEABLE_KINDS, JobKind, new_job_id
 from ..manager import QueueFullError, ServiceUnavailableError, UnknownJobError
 from .store import JobStore, open_store
@@ -60,9 +66,6 @@ DISPATCHER_COUNTERS = (
 )
 
 declare_counters(__name__, DISPATCHER_COUNTERS)
-
-#: Terminal job states, as the wire spells them.
-_TERMINAL = ("succeeded", "failed", "cancelled", "timeout")
 
 
 class Replica:
@@ -143,13 +146,20 @@ class Dispatcher:
             self._store = open_store(store_url)
             self._owns_store = True
         self._lock = threading.RLock()
+        #: Notified when a replica is evicted or re-added: a relay that
+        #: found no replica to stream from waits on it.
+        self._replicas_changed = threading.Condition(self._lock)
         #: job id → owning replica URL (routing for status/result reads).
-        self._owners: dict[str, str] = {}
+        self._owners: "OrderedDict[str, str]" = OrderedDict()
         #: Jobs the dispatcher completed itself from the result cache.
-        self._local: dict[str, dict[str, Any]] = {}
+        self._local: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
+        #: Bound on each of the two tables above, oldest entry out
+        #: first: the manager's default ``job_history_limit``.
+        self._history_limit = ServiceConfig.job_history_limit
         self._cache: "OrderedDict[str, dict]" = OrderedDict()
         self._cache_size = cache_size
         self.cache_hits = 0
+        self.jobs_routed = 0
         self._health_interval = health_interval
         self._eviction_threshold = eviction_threshold
         self._stop = threading.Event()
@@ -174,7 +184,9 @@ class Dispatcher:
 
     def shutdown(self) -> bool:
         """Stop the monitor; ``True``: the dispatcher holds no jobs to drain."""
-        self._stop.set()
+        with self._replicas_changed:
+            self._stop.set()
+            self._replicas_changed.notify_all()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
@@ -210,29 +222,28 @@ class Dispatcher:
             if ok:
                 if not replica.healthy:
                     metrics.increment("dispatcher.replicas.readded")
+                    self._replicas_changed.notify_all()
                 replica.healthy = True
                 replica.consecutive_failures = 0
             else:
-                replica.consecutive_failures += 1
-                if (
-                    replica.healthy
-                    and replica.consecutive_failures >= self._eviction_threshold
-                ):
-                    replica.healthy = False
-                    metrics.increment("dispatcher.replicas.evicted")
+                self._count_failure(replica)
         return ok
 
     def _mark_failure(self, replica: Replica, error: str) -> None:
         """An actual request failed — count it like a failed probe."""
         with self._lock:
             replica.last_error = error
-            replica.consecutive_failures += 1
-            if (
-                replica.healthy
-                and replica.consecutive_failures >= self._eviction_threshold
-            ):
-                replica.healthy = False
-                metrics.increment("dispatcher.replicas.evicted")
+            self._count_failure(replica)
+
+    def _count_failure(self, replica: Replica) -> None:
+        replica.consecutive_failures += 1
+        if (
+            replica.healthy
+            and replica.consecutive_failures >= self._eviction_threshold
+        ):
+            replica.healthy = False
+            metrics.increment("dispatcher.replicas.evicted")
+            self._replicas_changed.notify_all()
 
     def healthy_replicas(self) -> list[Replica]:
         with self._lock:
@@ -297,7 +308,7 @@ class Dispatcher:
                         "error": None,
                         "result": dict(cached),
                     }
-                    self._local[record["id"]] = record
+                    self._remember(self._local, record["id"], record)
                     return record
         key = routing_key(kind, payload)
         candidates = self._ranked(key)
@@ -323,7 +334,8 @@ class Dispatcher:
                     continue
                 raise  # 4xx: the payload is bad everywhere
             with self._lock:
-                self._owners[record["id"]] = replica.url
+                self._remember(self._owners, record["id"], replica.url)
+                self.jobs_routed += 1
             metrics.increment("dispatcher.jobs.routed")
             if position > 0:
                 metrics.increment("dispatcher.jobs.rerouted")
@@ -333,6 +345,13 @@ class Dispatcher:
             metrics.increment("dispatcher.jobs.rejected")
             raise QueueFullError("all replicas are saturated", max(retry_afters))
         raise ServiceUnavailableError(str(last_error or "no replica accepted"))
+
+    def _remember(self, table: OrderedDict, job_id: str, value: Any) -> None:
+        """File ``value`` under ``job_id``, evicting the oldest entries
+        past the history limit (under the lock)."""
+        table[job_id] = value
+        while len(table) > self._history_limit:
+            table.popitem(last=False)
 
     def _maybe_cache(self, record: dict[str, Any]) -> None:
         """Feed the shared cache from any completed record we see."""
@@ -428,62 +447,79 @@ class Dispatcher:
         if self._store is not None:
             data = self._store.get(job_id)
             if data is not None:
-                if data.get("state") in _TERMINAL:
+                if data.get("state") in TERMINAL:
                     return False
                 self._store.request_cancel(job_id)
                 return True
         raise UnknownJobError(job_id)
 
-    def events(self, job_id: str, after: int = 0):
-        """``(events, done)`` like the manager's, across the cluster.
+    def follow(self, job_id: str, after: int = 0) -> Iterator[dict[str, Any]]:
+        """The job's events with ``seq > after``, live, across the cluster.
 
-        The streaming endpoint polls this; events come from the owner
-        replica when it is up, otherwise from any replica that knows
-        the job, otherwise straight from the shared store.
+        Opens the first event source now, so an id nothing knows raises
+        :class:`UnknownJobError` before anything is yielded; a
+        cache-born job has no events.
+        """
+        with self._lock:
+            if job_id in self._local:
+                return (event for event in ())
+        source, final = self._open_events(job_id, after)
+        return self._relay(job_id, after, source, final)
+
+    def _open_events(
+        self, job_id: str, after: int
+    ) -> tuple[Iterator[dict[str, Any]], bool]:
+        """An event source for the job, from ``after`` on.
+
+        The owner replica's stream when it answers, else any other
+        replica's, else the store's events so far.  The flag says
+        whether the source running out means the job is over: a
+        replica closes its stream only after the terminal event, the
+        store's snapshot is over only if the job is.
         """
         for replica in self._read_candidates(job_id):
             try:
-                record = replica.client.job(job_id)
+                return replica.client.stream(job_id, after=after), True
             except ServiceError as exc:
-                if exc.status == 404:
-                    continue
-                self._mark_failure(replica, str(exc))
-                continue
-            events = self._replica_events(replica, job_id, after)
-            if events is not None:
-                return events, record.get("state") in _TERMINAL
-        with self._lock:
-            local = self._local.get(job_id)
-        if local is not None:
-            return [], True
-        if self._store is not None:
-            data = self._store.get(job_id)
-            if data is not None:
-                events = [
-                    {"seq": seq, **event}
-                    for seq, event in self._store.events(job_id, after)
-                ]
-                return events, data.get("state") in _TERMINAL
-        raise UnknownJobError(job_id)
+                if exc.status != 404:
+                    self._mark_failure(replica, str(exc))
+        data = self._store.get(job_id) if self._store is not None else None
+        if data is None:
+            raise UnknownJobError(job_id)
+        events = [
+            {"seq": seq, **event} for seq, event in self._store.events(job_id, after)
+        ]
+        return (event for event in events), data.get("state") in TERMINAL
 
-    def _replica_events(
-        self, replica: Replica, job_id: str, after: int
-    ) -> list[dict] | None:
-        """One non-blocking-ish slurp of a replica's event stream."""
-        events: list[dict] = []
-        try:
-            # The replica closes the stream at terminal state; for live
-            # jobs we only want what is buffered *now*, so read with a
-            # short gap timeout and treat it as end-of-batch.
-            for event in replica.client.stream(job_id, after=after, timeout=0.5):
-                events.append(event)
-        except ServiceError as exc:
-            if exc.status == 404:
-                return None
-            return events or None
-        except OSError:
-            return events  # gap timeout: batch complete
-        return events
+    def _relay(
+        self,
+        job_id: str,
+        after: int,
+        source: Iterator[dict[str, Any]],
+        final: bool,
+    ) -> Iterator[dict[str, Any]]:
+        """Pass ``source`` on; on a break, resume from the last ``seq``."""
+        while True:
+            try:
+                for event in source:
+                    yield event
+                    after = max(after, event["seq"])
+                    if event.get("type") == "state" and event.get("state") in TERMINAL:
+                        return
+                if final:
+                    return
+                # Only the store knew the job and it is still live: its
+                # owner is down.  Nothing moves until a replica comes
+                # back, which the health monitor announces.
+                with self._replicas_changed:
+                    self._replicas_changed.wait(self._health_interval)
+                    if self._stop.is_set():
+                        raise ServiceUnavailableError("the dispatcher stopped")
+            except ServiceError:
+                pass  # the replica went away or fell silent: resume below
+            finally:
+                source.close()
+            source, final = self._open_events(job_id, after)
 
     # -- introspection -----------------------------------------------------
 
@@ -504,7 +540,7 @@ class Dispatcher:
     def stats(self) -> dict[str, Any]:
         with self._lock:
             cache_size = len(self._cache)
-            routed = len(self._owners)
+            routed = self.jobs_routed
         counters = {
             name: value
             for name, value in metrics.snapshot().items()

@@ -208,7 +208,6 @@ class ClusterHarness:
                     "port": 0,
                     "workers": self.workers_per_replica,
                     "job_timeout": self.job_timeout,
-                    "poll_interval": 0.01,
                     "store_url": self.store_url,
                     "replica_id": replica_id,
                     "max_queue_depth": self.max_queue_depth,

@@ -28,8 +28,6 @@ class ServiceConfig:
     #: trail).  ``None`` disables eviction.
     job_history_limit: int | None = 1024
     journal_path: str | None = None
-    #: Supervisor loop tick; also the granularity of timeout detection.
-    poll_interval: float = 0.02
     #: How long a graceful drain waits for in-flight jobs on shutdown.
     drain_timeout: float = 60.0
     #: Admission control: submissions are rejected with 429 +
@@ -44,7 +42,8 @@ class ServiceConfig:
     #: recovery after restart).  ``None`` derives a fresh random id.
     replica_id: str | None = None
     #: How often the supervisor polls the shared store for cancellations
-    #: requested through *other* replicas.
+    #: requested through *other* replicas (and how often a stream or a
+    #: wait on a job only the store knows re-reads it).
     remote_cancel_interval: float = 0.25
 
     def validated(self) -> "ServiceConfig":
@@ -62,8 +61,6 @@ class ServiceConfig:
             raise ValueError(
                 "job_history_limit must be at least 1 (or None for no eviction)"
             )
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError(
                 "max_queue_depth must be at least 1 (or None for no limit)"

@@ -4,7 +4,7 @@ One handler serves both.  The server wraps a *front*: a
 :class:`JobManager` (a replica) or a
 :class:`~repro.service.cluster.dispatcher.Dispatcher` (the cluster's
 front door).  Both fronts answer the same calls — ``submit``, ``get``,
-``jobs``, ``events``, ``cancel``, ``healthz``, ``stats`` — and raise the
+``jobs``, ``follow``, ``cancel``, ``healthz``, ``stats`` — and raise the
 same exceptions, so every route below works identically on either.
 
 Routes::
@@ -30,7 +30,9 @@ application/x-etransform-wire``, :mod:`repro.io.wire`).  Built on
 :class:`http.server.ThreadingHTTPServer` — requests are cheap
 bookkeeping; all heavy lifting happens on the worker pool, so
 thread-per-request is plenty (the event stream ties up one thread per
-watcher, all of them blocked in short sleeps).
+watcher, blocked until its job's next event: a manager front wakes it
+from a condition its job table notifies, a dispatcher front from the
+replica stream it relays).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import json
 import os
 import signal
 import threading
-import time
 import urllib.parse
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -58,13 +59,10 @@ from .manager import (
     UnknownJobError,
 )
 
-#: How often the event stream re-polls the front for fresh events.
-STREAM_POLL_INTERVAL = 0.05
-
 #: What a front raises for a request it cannot serve (see ``_fail``).
 _FRONT_ERRORS = (UnknownJobError, QueueFullError, ServiceUnavailableError, ServiceError)
 
-#: Listening sockets to close in forked children (see below).
+#: Sockets to close in forked children (see below).
 _LISTENING_SOCKETS: "weakref.WeakSet" = weakref.WeakSet()
 _FORK_HOOK = threading.Event()
 
@@ -85,8 +83,11 @@ def register_server_socket(sock) -> None:
     that listening socket alive after the replica closes it — the port
     then accepts connections into a backlog nothing ever drains, and
     clients hang instead of getting the prompt connection-refused the
-    failover path relies on.  Closing every registered listener in the
-    ``after_in_child`` fork hook restores honest death semantics.
+    failover path relies on.  An accepted connection has the same
+    problem: a child's copy of an open event stream keeps it open after
+    its server dropped it, so the reader never sees the end it fails
+    over on.  Closing every registered socket in the ``after_in_child``
+    fork hook restores honest death semantics.
     """
     if not _FORK_HOOK.is_set():
         _FORK_HOOK.set()
@@ -225,31 +226,29 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
     def _stream_events(self, job_id: str, after: int) -> None:
         """``GET /jobs/{id}/events``: chunked ndjson until terminal.
 
-        One JSON event per line, flushed as it happens, so a watcher
-        sees queue/dispatch transitions and solver progress ticks live.
-        The stream closes itself once the job reaches a terminal state
-        (the final ``state`` event is always delivered first).
+        One JSON event per line, written the moment the front yields
+        it, so a watcher sees queue/dispatch transitions and solver
+        progress ticks live.  The stream closes itself once the job
+        reaches a terminal state (the final ``state`` event is always
+        delivered first).  If the front cannot go on (it is shutting
+        down, or the record vanished), the connection is dropped
+        without the closing chunk, so the reader knows the stream broke
+        rather than ended and can resume elsewhere with ``?after=``.
         """
-        events, done = self.front.events(job_id, after)  # 404 before headers
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Cache-Control", "no-cache")
-        self.end_headers()
+        events = self.front.follow(job_id, after)  # 404 before headers
         try:
-            while True:
-                for event in events:
-                    self._write_chunk(json.dumps(event).encode("utf-8") + b"\n")
-                    after = max(after, event["seq"])
-                if done:
-                    break
-                time.sleep(STREAM_POLL_INTERVAL)
-                events, done = self.front.events(job_id, after)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/x-ndjson")
+            self.send_header("Transfer-Encoding", "chunked")
+            self.send_header("Cache-Control", "no-cache")
+            self.end_headers()
+            for event in events:
+                self._write_chunk(json.dumps(event).encode("utf-8") + b"\n")
             self._write_chunk(b"")
-        except (BrokenPipeError, ConnectionResetError, UnknownJobError):
-            # Watcher went away (or the record was evicted mid-stream);
-            # nothing to clean up beyond this request thread.
+        except (BrokenPipeError, ConnectionResetError, *_FRONT_ERRORS):
             self.close_connection = True
+        finally:
+            events.close()
 
     def do_POST(self) -> None:  # noqa: N802
         if self.path.rstrip("/") != "/jobs":
@@ -291,6 +290,10 @@ class PlanningServer(ThreadingHTTPServer):
     :meth:`start` ran, the thread serving it."""
 
     daemon_threads = True
+
+    def process_request(self, request, client_address) -> None:
+        register_server_socket(request)
+        super().process_request(request, client_address)
 
     def __init__(
         self,

@@ -20,6 +20,15 @@ machine race-free without fine-grained locking:
   their worker killed and replaced (the only way to interrupt a solver
   that is deep inside native code).
 
+Nothing on this path sleeps.  The supervisor blocks in
+:func:`multiprocessing.connection.wait` on the workers' result pipes and
+process sentinels plus one wake-up pipe that ``submit``, ``cancel`` and
+``shutdown`` write to; its timeout is the time to the nearest attempt
+deadline, retry release or remote-cancel check.  Every event filed under
+a job notifies one :class:`threading.Condition` over the manager lock,
+which is what :meth:`JobManager.follow`, :meth:`JobManager.wait` and the
+shutdown drain wait on.
+
 Every transition is appended to the optional JSONL journal, so an
 operator can reconstruct what the service did after the fact.
 """
@@ -27,13 +36,15 @@ operator can reconstruct what the service did after the fact.
 from __future__ import annotations
 
 import heapq
+import os
 import sys
 import threading
 import time
 import traceback
 import uuid
 from collections import OrderedDict, deque
-from typing import Any
+from multiprocessing import connection
+from typing import Any, Iterator
 
 from ..io.serialization import append_jsonl, read_jsonl
 from ..lp.fingerprint import payload_fingerprint
@@ -104,6 +115,12 @@ class JobManager:
         self.config = (config or ServiceConfig()).validated()
         self.replica_id = self.config.replica_id or f"replica-{uuid.uuid4().hex[:8]}"
         self._lock = threading.RLock()
+        #: Notified whenever a job event is filed and after every
+        #: supervisor tick: streams, waiters and the drain wait on it.
+        self._changed = threading.Condition(self._lock)
+        #: The supervisor's wake-up pipe (read end, write end), open
+        #: between start() and shutdown().
+        self._wake_fds: tuple[int, int] | None = None
         self._jobs: dict[str, JobRecord] = {}
         #: Min-heap of (ready_at, sequence, job_id); cancelled entries are
         #: skipped lazily at pop time.
@@ -146,7 +163,8 @@ class JobManager:
         it — cluster mode recovers those from the job store instead),
         and only the newest ``job_history_limit`` of them: replaying a
         journal longer than the limit must not resurrect jobs the
-        previous incarnation had already evicted.
+        previous incarnation had already evicted.  A ``succeeded`` entry
+        carries its result body, so the job answers with it again.
         """
         terminal_names = {state.value for state in TERMINAL_STATES}
         final: "OrderedDict[str, dict]" = OrderedDict()
@@ -169,6 +187,7 @@ class JobManager:
                     "attempts": entry.get("attempts", 0),
                     "error": entry.get("error"),
                     "via": entry.get("via"),
+                    "result": entry.get("result"),
                     "created_at": entry.get("ts"),
                     "finished_at": entry.get("ts"),
                 }
@@ -183,6 +202,10 @@ class JobManager:
         if self._supervisor is not None:
             raise RuntimeError("manager already started")
         self._pool = WorkerPool(self.config.workers)
+        read_end, write_end = os.pipe()
+        os.set_blocking(read_end, False)
+        os.set_blocking(write_end, False)
+        self._wake_fds = (read_end, write_end)
         self._accepting = True
         self.started_at = time.time()
         if self._store is not None:
@@ -246,20 +269,23 @@ class JobManager:
             self._accepting = False
         drained = True
         if drain and self._supervisor is not None:
-            deadline = time.monotonic() + (
-                self.config.drain_timeout if timeout is None else timeout
-            )
-            while time.monotonic() < deadline:
-                with self._lock:
-                    if not self._pending and self._pool.busy_count == 0:
-                        break
-                time.sleep(self.config.poll_interval)
-            else:
-                drained = False
-        self._stop.set()
+            with self._changed:
+                drained = self._changed.wait_for(
+                    lambda: not self._pending and self._pool.busy_count == 0,
+                    self.config.drain_timeout if timeout is None else timeout,
+                )
+        with self._changed:
+            self._stop.set()
+            self._wake()
+            self._changed.notify_all()  # open streams end now
         if self._supervisor is not None:
             self._supervisor.join(timeout=5.0)
             self._supervisor = None
+        with self._lock:
+            if self._wake_fds is not None:
+                for fd in self._wake_fds:
+                    os.close(fd)
+                self._wake_fds = None
         if self._pool is not None:
             if drained:
                 self._pool.stop_all()
@@ -348,6 +374,7 @@ class JobManager:
                 self.cache_misses += 1
                 metrics.increment("service.cache.misses")
             self._push(record, ready_at=time.monotonic())
+            self._wake()
         return record
 
     def _check_admission(self) -> None:
@@ -395,9 +422,10 @@ class JobManager:
     def events(self, job_id: str, after: int = 0) -> tuple[list[dict], bool]:
         """Events with ``seq > after`` plus whether the job is terminal.
 
-        The streaming endpoint polls this; ``done=True`` tells it the
-        stream is complete.  Local records answer from the in-memory
-        buffer; anything else falls back to the shared store.
+        A snapshot (:meth:`follow` is the live stream built on it);
+        ``done=True`` says no event will follow.  Local records answer
+        from the in-memory buffer; anything else falls back to the
+        shared store.
         """
         with self._lock:
             record = self._jobs.get(job_id)
@@ -440,6 +468,7 @@ class JobManager:
                     worker = self._worker_running(job_id)
                     if worker is not None:
                         self._replace_worker(worker)
+                        self._wake()  # the fresh worker can take queued work
                 record.via = None
                 self._finish(record, JobState.CANCELLED)
                 return True
@@ -459,12 +488,74 @@ class JobManager:
     def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
         """Block until ``job_id`` is terminal (test/CLI convenience)."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            record = self.get(job_id)
-            if record.done:
-                return record
-            time.sleep(self.config.poll_interval)
-        raise TimeoutError(f"job {job_id} still {self.get(job_id).state.value}")
+        with self._changed:
+            while True:
+                record = self.get(job_id)
+                if record.done:
+                    return record
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"job {job_id} still {record.state.value}"
+                    )
+                self._changed.wait(
+                    self._wait_bound(job_id in self._jobs, remaining)
+                )
+
+    def follow(self, job_id: str, after: int = 0) -> Iterator[dict[str, Any]]:
+        """The job's events with ``seq > after``, live, until its terminal one.
+
+        Raises :class:`UnknownJobError` here, before anything is yielded
+        (the HTTP layer answers 404 before its headers), and
+        :class:`ServiceUnavailableError` from the iterator once the
+        manager shuts down mid-stream.
+        """
+        events, done = self.events(job_id, after)
+        return self._follow(job_id, after, events, done)
+
+    def _follow(
+        self, job_id: str, after: int, events: list[dict], done: bool
+    ) -> Iterator[dict[str, Any]]:
+        while True:
+            for event in events:
+                yield event
+                after = max(after, event["seq"])
+            if done:
+                return
+            with self._changed:
+                held = job_id in self._jobs
+                self._changed.wait_for(
+                    lambda: self._stop.is_set()
+                    or (held and self._has_news(job_id, after)),
+                    self._wait_bound(held, None),
+                )
+                if self._stop.is_set():
+                    raise ServiceUnavailableError("the planning service stopped")
+            events, done = self.events(job_id, after)
+
+    def _has_news(self, job_id: str, after: int) -> bool:
+        """A held job filed an event past ``after``, finished, or left
+        the table (evicted: the store answers for it now)."""
+        record = self._jobs.get(job_id)
+        return (
+            record is None
+            or record.done
+            or bool(record.events and record.events[-1]["seq"] > after)
+        )
+
+    def _wait_bound(self, held: bool, remaining: float | None) -> float | None:
+        """How long a waiter on one job may block on the condition.
+
+        A job this replica holds notifies the condition with each of its
+        events.  One only the shared store knows (owned by another
+        replica) cannot: the store signals nothing across processes, so
+        it is re-read every ``remote_cancel_interval``, the cadence the
+        supervisor already reads it at.
+        """
+        if held:
+            return remaining
+        bound = self.config.remote_cancel_interval
+        return bound if remaining is None else min(remaining, bound)
 
     # -- introspection -----------------------------------------------------
 
@@ -528,6 +619,7 @@ class JobManager:
         while not self._stop.is_set():
             try:
                 self._tick()
+                self._wait_for_work()
             except Exception:  # pragma: no cover - supervisor must survive
                 # A dead supervisor freezes every job, so keep looping —
                 # but loudly: a swallowed tick failure would otherwise
@@ -540,7 +632,7 @@ class JobManager:
                 )
                 with self._lock:
                     self._log_event(event="supervisor_error", error=detail)
-            time.sleep(self.config.poll_interval)
+                self._stop.wait(0.05)  # a tick that keeps failing must not spin
 
     def _tick(self) -> None:
         with self._lock:
@@ -551,6 +643,55 @@ class JobManager:
             self._dispatch_ready()
             metrics.gauge("service.queue.depth").set(self._queue_depth())
             metrics.gauge("service.jobs.inflight").set(self._pool.busy_count)
+            # Freed workers and popped stale queue entries change no job
+            # event but can complete a drain.
+            self._changed.notify_all()
+
+    def _wait_for_work(self) -> None:
+        """Block until the supervisor has something to do.
+
+        That is: a worker's result pipe is readable (a result, a
+        progress tick, or EOF because it died), a worker process exited
+        (its sentinel), ``submit``/``cancel``/``shutdown`` wrote the wake
+        pipe, or timed work falls due (:meth:`_next_timeout`).
+        """
+        with self._lock:
+            if self._stop.is_set():
+                return
+            wake_read = self._wake_fds[0]
+            handles = [wake_read, *self._pool.wait_handles()]
+            timeout = self._next_timeout()
+        connection.wait(handles, timeout)
+        try:
+            while os.read(wake_read, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def _next_timeout(self) -> float | None:
+        """Seconds to the nearest attempt deadline, retry release or
+        remote-cancel check; ``None`` when only an event can bring work."""
+        now = time.monotonic()
+        due = [
+            worker.deadline
+            for worker in self._pool.workers
+            if worker.busy_job is not None and worker.deadline is not None
+        ]
+        # A queue head already due is waiting for a worker, whose result
+        # pipe wakes the supervisor; only future releases need a timer.
+        due.extend(ready_at for ready_at, _, _ in self._pending if ready_at > now)
+        if self._store is not None and (self._pending or self._pool.busy_count):
+            due.append(self._last_cancel_poll + self.config.remote_cancel_interval)
+        return max(0.0, min(due) - now) if due else None
+
+    def _wake(self) -> None:
+        """Wake the supervisor out of :meth:`_wait_for_work` (under the lock)."""
+        if self._wake_fds is None:
+            return
+        try:
+            os.write(self._wake_fds[1], b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full: a wake-up is already pending
 
     def _check_remote_cancels(self) -> None:
         """Honor cancellations requested through *other* replicas.
@@ -736,7 +877,11 @@ class JobManager:
     def _finish(self, record: JobRecord, state: JobState) -> None:
         record.transition(state)
         metrics.increment(f"service.jobs.{state.value}")
-        self._log_job(record, event=state.value)
+        if state is JobState.SUCCEEDED:
+            # The journal keeps the body so a replay answers with it.
+            self._log_job(record, event=state.value, result=record.result)
+        else:
+            self._log_job(record, event=state.value)
         self._store_sync(record)
         terminal_event: dict[str, Any] = {"type": "state", "state": state.value}
         if record.via is not None:
@@ -792,6 +937,7 @@ class JobManager:
         record.events.append({"seq": seq, **data})
         if len(record.events) > MAX_EVENT_BUFFER:
             del record.events[: len(record.events) - MAX_EVENT_BUFFER]
+        self._changed.notify_all()
         if event.get("type") == "progress":
             metrics.increment("service.progress.events")
 

@@ -14,8 +14,10 @@ every other producer.  A per-worker ``Pipe`` confines any such damage
 to the killed worker's connection, which the manager simply discards.
 
 The pool only *hosts* processes; job bookkeeping (retries, timeouts,
-cancellation) lives in :class:`repro.service.manager.JobManager`, which
-watches ``Process.is_alive()`` and the result pipes.
+cancellation) lives in :class:`repro.service.manager.JobManager`, whose
+supervisor blocks on :meth:`WorkerPool.wait_handles` — every open result
+pipe plus every process sentinel — so a result, a progress tick or a
+worker's death wakes it the moment it happens.
 """
 
 from __future__ import annotations
@@ -174,6 +176,17 @@ class WorkerPool:
             except Exception:  # truncated pickle from a killed sender
                 conn.close()
         return messages
+
+    def wait_handles(self) -> list[int]:
+        """File descriptors that become readable when a worker needs the
+        supervisor: its result pipe (a message, or EOF on death) and its
+        process sentinel (ready once the process has exited)."""
+        handles = []
+        for worker in self.workers:
+            if not worker.results.closed:
+                handles.append(worker.results.fileno())
+            handles.append(worker.process.sentinel)
+        return handles
 
     def restart(self, worker: WorkerHandle) -> WorkerHandle:
         """Replace a dead/killed worker with a fresh process, in place.

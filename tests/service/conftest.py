@@ -53,7 +53,6 @@ def make_manager():
             "workers": 2,
             "job_timeout": 60.0,
             "retry_backoff": 0.05,
-            "poll_interval": 0.01,
         }
         settings.update(overrides)
         manager = JobManager(ServiceConfig(**settings)).start()

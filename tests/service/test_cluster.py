@@ -28,7 +28,7 @@ from repro.service.cluster import (
 from repro.service.cluster.store import SqliteJobStore
 from repro.service.jobs import JobKind
 
-from .conftest import VERY_SLOW_HORIZON, plan_payload, sim_payload
+from .conftest import SLOW_HORIZON, VERY_SLOW_HORIZON, plan_payload, sim_payload
 
 
 @pytest.fixture
@@ -169,14 +169,39 @@ class TestReplicaFailure:
         # The recovery left its trace in the event stream.
         events, _ = restarted.manager.events(plan["id"])
         assert any(e.get("recovered") for e in events)
-        # Cross-replica cancellation: stop the re-adopted slow sim.
+        # Cross-replica cancellation: stop the re-adopted slow sim; its
+        # event stream ends on the cancellation.
         assert cluster_client.cancel(sim["id"])["cancelled"] is True
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            if cluster_client.job(sim["id"])["state"] == "cancelled":
-                break
-            time.sleep(0.05)
+        cancelled = cluster_client.wait(
+            sim["id"], timeout=15.0, raise_on_failure=False
+        )
+        assert cancelled["state"] == "cancelled"
         assert cluster_client.job(sim["id"])["state"] == "cancelled"
+
+    def test_dispatcher_stream_survives_owner_restart(
+        self, cluster, cluster_client, state_doc
+    ):
+        job = cluster_client.submit(
+            "simulate", sim_payload(distinct_state(state_doc, "relay"), SLOW_HORIZON)
+        )
+        owner_index = int(job["replica"].rsplit("-", 1)[1])
+        stream = cluster_client.stream(job["id"], timeout=60.0)
+        events = []
+        for event in stream:
+            events.append(event)
+            if event.get("state") == "running":
+                break
+        replica = cluster.replicas[owner_index]
+        port = replica.server.server_address[1]
+        replica.stop()  # the owner dies mid-job, its stream with it
+        restarted = InProcessReplica(replica.config.replace(port=port)).start()
+        cluster.replicas[owner_index] = restarted
+        events.extend(stream)
+        seqs = [event["seq"] for event in events]
+        assert seqs == list(range(1, len(seqs) + 1))  # each once, in order
+        assert any(event.get("recovered") for event in events)
+        assert events[-1]["type"] == "state"
+        assert events[-1]["state"] == "succeeded"
 
     def test_eviction_and_readd(self, cluster, cluster_client, state_doc):
         dispatcher = cluster.dispatcher
@@ -222,7 +247,110 @@ class TestReplicaFailure:
         with pytest.raises(UnknownJobError):
             dispatcher.cancel("ghost")
         with pytest.raises(UnknownJobError):
-            dispatcher.events("ghost")
+            dispatcher.follow("ghost")
+
+
+class TestDispatcherHistory:
+    def test_cache_born_records_are_bounded(self, cluster, cluster_client, state_doc):
+        dispatcher = cluster.dispatcher
+        assert dispatcher._history_limit == ServiceConfig().job_history_limit
+        dispatcher._history_limit = 50  # the default bound, scaled down
+        payload = plan_payload(state_doc)
+        cluster_client.wait(cluster_client.submit("plan", payload)["id"], timeout=60.0)
+        ids = []
+        for _ in range(200):
+            again = cluster_client.submit("plan", payload)
+            assert again["via"] == "dispatcher-cache"
+            ids.append(again["id"])
+        assert len(dispatcher._local) <= 50
+        listed = {job["id"] for job in cluster_client.jobs()}
+        assert set(ids[-50:]) <= listed
+        assert ids[0] not in listed
+
+
+class _NoSleep:
+    """Stands in for a module's ``time``: everything but ``sleep``."""
+
+    def __init__(self) -> None:
+        self.calls: list[float] = []
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+    def sleep(self, seconds: float) -> None:
+        self.calls.append(seconds)
+        raise AssertionError(f"time.sleep({seconds}) on the job path")
+
+
+class TestNoSleepPolling:
+    """Every hop of the job path waits on events, never in a sleep."""
+
+    @pytest.fixture
+    def sleepless(self, monkeypatch):
+        import repro.service.cluster.dispatcher as dispatcher_module
+        import repro.service.http as http_module
+        import repro.service.manager as manager_module
+
+        stand_in = _NoSleep()
+        for module in (manager_module, http_module, dispatcher_module):
+            monkeypatch.setattr(module, "time", stand_in, raising=False)
+        return stand_in
+
+    @staticmethod
+    def follow_to_end(client, job_id, until=None):
+        """The job's events through the dispatcher's stream; ``until``
+        (a state) runs ``until[1]`` once that state shows up."""
+        events = []
+        for event in client.stream(job_id, timeout=60.0):
+            events.append(event)
+            if until is not None and event.get("state") == until[0]:
+                until[1]()
+        return events
+
+    def test_plan_refine_cancel_and_timeout(self, sleepless, tmp_path, state_doc):
+        with ClusterHarness(
+            n_replicas=1,
+            workers_per_replica=1,
+            store_url=f"sqlite://{tmp_path}/jobs.db",
+            job_timeout=60.0,
+        ) as cluster:
+            client = ServiceClient(cluster.url, timeout=30.0)
+            plan = client.submit("plan", plan_payload(state_doc))
+            refine = client.submit(
+                "refine",
+                {
+                    "state": state_doc,
+                    "options": {"backend": "highs"},
+                    "session": "adm",
+                    "directives": [{"kind": "retire_site", "datacenter": "cheap-far"}],
+                },
+            )
+            slow = client.submit("simulate", sim_payload(state_doc, VERY_SLOW_HORIZON))
+            expiring = client.submit(
+                "simulate",
+                sim_payload(distinct_state(state_doc, "expiring"), VERY_SLOW_HORIZON),
+                timeout=0.5,
+            )
+            finals = {
+                "plan": self.follow_to_end(client, plan["id"]),
+                "refine": self.follow_to_end(client, refine["id"]),
+                "cancel": self.follow_to_end(
+                    client, slow["id"], until=("running", lambda: client.cancel(slow["id"]))
+                ),
+                "timeout": self.follow_to_end(client, expiring["id"]),
+            }
+            states = {name: events[-1]["state"] for name, events in finals.items()}
+            assert states == {
+                "plan": "succeeded",
+                "refine": "succeeded",
+                "cancel": "cancelled",
+                "timeout": "timeout",
+            }
+            for events in finals.values():
+                seqs = [event["seq"] for event in events]
+                assert seqs == list(range(1, len(seqs) + 1))
+            assert client.wait(plan["id"], timeout=10.0)["result"] is not None
+        assert sleepless.calls == []
 
 
 class TestBackpressure:
@@ -368,9 +496,7 @@ class TestStoreBackedManagerUnit:
             },
             claimed_by="someone-else",
         )
-        config = ServiceConfig(
-            workers=1, poll_interval=0.01, replica_id="local"
-        )
+        config = ServiceConfig(workers=1, replica_id="local")
         from repro.service import JobManager
 
         manager = JobManager(config, store=store)

@@ -528,3 +528,18 @@ class TestJournalReplay:
         assert fresh.state is JobState.SUCCEEDED
         with pytest.raises(UnknownJobError):
             manager.get("old-1")
+
+    def test_restart_answers_with_the_result(self, make_manager, state_doc, tmp_path):
+        # Two managers on one journal file: the second comes up after the
+        # first shut down and must answer for the finished job with the
+        # same result body, not just its state.
+        journal = str(tmp_path / "journal.jsonl")
+        first = make_manager(workers=1, journal_path=journal)
+        job = first.wait(first.submit("plan", plan_payload(state_doc)).id, timeout=60.0)
+        expected = job.to_dict()["result"]
+        assert expected is not None
+        first.shutdown()
+        second = make_manager(workers=1, journal_path=journal)
+        replayed = second.get(job.id).to_dict()
+        assert replayed["state"] == "succeeded"
+        assert replayed["result"] == expected
