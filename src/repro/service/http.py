@@ -63,12 +63,12 @@ from .manager import (
 _FRONT_ERRORS = (UnknownJobError, QueueFullError, ServiceUnavailableError, ServiceError)
 
 #: Sockets to close in forked children (see below).
-_LISTENING_SOCKETS: "weakref.WeakSet" = weakref.WeakSet()
+_FORK_CLOSED_SOCKETS: "weakref.WeakSet" = weakref.WeakSet()
 _FORK_HOOK = threading.Event()
 
 
-def _close_listeners_in_child() -> None:  # pragma: no cover - runs post-fork
-    for sock in list(_LISTENING_SOCKETS):
+def _close_sockets_in_child() -> None:  # pragma: no cover - runs post-fork
+    for sock in list(_FORK_CLOSED_SOCKETS):
         try:
             sock.close()
         except OSError:
@@ -91,8 +91,8 @@ def register_server_socket(sock) -> None:
     """
     if not _FORK_HOOK.is_set():
         _FORK_HOOK.set()
-        os.register_at_fork(after_in_child=_close_listeners_in_child)
-    _LISTENING_SOCKETS.add(sock)
+        os.register_at_fork(after_in_child=_close_sockets_in_child)
+    _FORK_CLOSED_SOCKETS.add(sock)
 
 
 def _record_dict(

@@ -298,8 +298,9 @@ class TestNoSleepPolling:
 
     @staticmethod
     def follow_to_end(client, job_id, until=None):
-        """The job's events through the dispatcher's stream; ``until``
-        (a state) runs ``until[1]`` once that state shows up."""
+        """The job's events through the dispatcher's stream; ``until``,
+        a ``(state, action)`` pair, runs the action when that state
+        event arrives."""
         events = []
         for event in client.stream(job_id, timeout=60.0):
             events.append(event)
