@@ -33,6 +33,8 @@ def render_solve_stats(stats: SolveStats) -> str:
         f"    degenerate pivots            {stats.degenerate_pivots}",
         f"  conversion / solve seconds     {stats.conversion_seconds:.3f} / "
         f"{stats.relaxation_solve_seconds:.3f}",
+        f"  root LP seconds (engine)       {stats.root_lp_seconds:.3f} "
+        f"({stats.root_lp_engine or 'n/a'})",
         f"  warm starts (hit / miss)       {stats.warm_start_hits} / {stats.warm_start_misses}",
         f"  basis refactorizations         {stats.refactorizations}",
         f"    eta file length at refactor  {stats.eta_file_length}",

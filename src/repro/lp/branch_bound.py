@@ -34,7 +34,7 @@ import numpy as np
 
 from ..telemetry import GapPoint, SolveStats, emit_progress, metrics
 from .cuts import cuts_to_rows, implied_bound_pairs, separate_cuts
-from .matrix_lp import ArrayLPResult, RelaxationContext
+from .matrix_lp import SLACK_TOKEN, ArrayLPResult, RelaxationContext
 from .problem import Problem
 from .solution import Solution, SolveStatus
 from .standard_form import MatrixForm, to_matrix_form
@@ -58,7 +58,8 @@ class _Node:
     """Search node ordered by its relaxation bound (best-first).
 
     ``warm`` carries the parent relaxation's basis token so the child's
-    simplex solve can skip phase 1 (builtin engine only).
+    solve re-enters the dual simplex (builtin engine only); the root's
+    is the previous solve's root token or :data:`SLACK_TOKEN`.
     """
 
     bound: float
@@ -354,6 +355,7 @@ def solve_branch_and_bound(
         stats.conversion_seconds += time.monotonic() - start
     integral = form.integrality.astype(bool)
 
+    root_warm = basis_io.get("root") if basis_io else None
     # One standardization per tree: every node below reuses the cached
     # constraint blocks and passes only its (lb, ub) deltas.  An external
     # context (incremental re-solve) skips even that one-time cost, and
@@ -366,6 +368,14 @@ def solve_branch_and_bound(
             max_iterations=max_iterations,
             integrality=integral,
         )
+        if root_warm is None and relaxation_engine == "builtin":
+            # A tree's own root enters the dual simplex from the slack
+            # basis: B = I needs no factorization, and the walk takes a
+            # fraction of the primal two-phase pivots.  A solve-cache
+            # context keeps its primal cold root: its later re-plans
+            # re-enter from this root's basis, and moving that vertex
+            # reroutes their searches (ROADMAP item 8).
+            root_warm = SLACK_TOKEN
     context_counters_start = (
         context.warm_start_hits, context.warm_start_misses,
         context.cache_hits, context.node_solves,
@@ -378,7 +388,6 @@ def solve_branch_and_bound(
         rounds=context.presolve_rounds,
     )
 
-    root_warm = basis_io.get("root") if basis_io else None
     # Pseudo-cost table {var_name: [down_sum, down_count, up_sum, up_count]}
     # of observed per-unit-fraction degradations.  Learned within this
     # tree; when a basis_io channel is present the table persists across
@@ -514,7 +523,11 @@ def solve_branch_and_bound(
             stats.nodes_pruned += 1
             continue
 
+        solve_start = time.perf_counter()
         relax = context.solve(node.lb, node.ub, warm=node.warm)
+        if node.depth == 0:
+            stats.root_lp_seconds = time.perf_counter() - solve_start
+            stats.root_lp_engine = relax.engine
         stats.nodes_explored += 1
         _absorb_lp_detail(stats, relax)
         if node.depth == 0 and relax.status == "optimal" and integral.any():

@@ -33,6 +33,14 @@ updates (one shared pivot update), and the warm-start validation.  What it adds:
   ``dual_infeasible`` and again falls back.  An optional cached basis
   inverse (keyed by the basis, see the caller's factor pool) skips the
   O(m^3) entry refactorization entirely.
+* **Slack-basis roots.**  The all-slack pair
+  (:func:`~repro.lp.revised_simplex.slack_basis`) is a valid token like
+  any other, and with the identity as its inverse the entry costs no
+  factorization.  A one-shot branch-and-bound root enters here that way
+  (the caller passes the pair explicitly; an absent token still
+  refuses).  The bound flips above make the slack start dual feasible
+  whenever every column's cost points to a finite bound; a column whose
+  cost points to an infinite one reports ``dual_infeasible``.
 
 Fixed columns (``lb == ub`` — equality slacks and branch-fixed
 binaries) carry unconstrained reduced costs; they are excluded from the

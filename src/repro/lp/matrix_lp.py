@@ -32,6 +32,7 @@ from .revised_simplex import (
     SparseBoundedLP,
     bordered_binv,
     extend_warm_pair,
+    slack_basis,
     solve_bounded_lp,
 )
 from .sparse import CSCMatrix
@@ -39,6 +40,14 @@ from .sparse import CSCMatrix
 #: Basis inverses remembered per context (keyed by the basis itself, so
 #: a hit is exact); bounds the pool's memory at ~48 m x m arrays.
 _FACTOR_POOL_SIZE = 48
+
+#: Warm token that asks a builtin context to enter the dual simplex from
+#: its family's all-slack basis (:func:`~repro.lp.revised_simplex.slack_basis`)
+#: instead of solving cold with the primal engine.  It is not a reuse of
+#: an earlier basis, so it counts in neither the warm-start hit/miss
+#: counters nor ``dual_entries``; a fallback still counts in
+#: ``dual_fallbacks``.  The HiGHS engine ignores it like any token.
+SLACK_TOKEN = ("slack",)
 
 
 @dataclass
@@ -66,6 +75,9 @@ class ArrayLPResult:
     pricing_passes: int = 0
     bound_flips: int = 0
     dual_pivots: int = 0
+    #: The engine that produced the result: ``"dual"`` or ``"primal"``
+    #: (builtin) or ``"highs"``; empty when presolve decided the node.
+    engine: str = ""
     message: str = ""
     solve_seconds: float = 0.0
     warm_started: bool = False
@@ -538,9 +550,13 @@ class RelaxationContext:
         A warm-started node re-solve goes through the dual simplex: the
         parent's basis is dual feasible for the child by construction,
         so the walk is a handful of pivots (often zero) and infeasible
-        children stop at the first Farkas row.  ``dual_lost``/
+        children stop at the first Farkas row.  :data:`SLACK_TOKEN`
+        enters the same walk from the all-slack basis, whose inverse is
+        the identity (with no rows there is nothing to walk, and the
+        primal engine solves each column alone).  ``dual_lost``/
         ``dual_infeasible`` exits fall back to the primal engine on the
-        same warm token, as does a cold (token-less) solve.
+        same warm token (cold for the slack token), as does a solve
+        without a token.
         """
         self.cache_hits += 1
         metrics.increment("relaxation.cache_hits")
@@ -549,8 +565,11 @@ class RelaxationContext:
             warm_pair = (warm[1], warm[2])
         start = time.perf_counter()
         result = None
-        dual_pivots = 0
-        if warm_pair is not None:
+        if warm == SLACK_TOKEN and self._family.m:
+            result = self._solve_dual(
+                lb, ub, slack_basis(self._family), np.eye(self._family.m)
+            )
+        elif warm_pair is not None:
             self.dual_entries += 1
             metrics.increment("relaxation.dual_entries")
             if self._dual_entry_after_extension:
@@ -562,23 +581,15 @@ class RelaxationContext:
             binv = self._factor_pool.get(
                 np.asarray(warm_pair[0], dtype=np.int64).tobytes()
             )
-            dres = solve_bounded_lp_dual(
-                self._family, lb, ub,
-                max_iterations=self.max_iterations, warm=warm_pair, binv=binv,
-            )
-            if dres.status in ("dual_lost", "dual_infeasible"):
-                self.dual_fallbacks += 1
-                metrics.increment("relaxation.dual_fallbacks")
-            else:
-                result = dres
-                dual_pivots = dres.dual_pivots
-                self.dual_pivots += dual_pivots
-                metrics.increment("relaxation.dual_pivots", dual_pivots)
+            result = self._solve_dual(lb, ub, warm_pair, binv)
+        engine = "dual"
         if result is None:
+            engine = "primal"
             result = solve_bounded_lp(
                 self._family, lb, ub,
                 max_iterations=self.max_iterations, warm=warm_pair,
             )
+        dual_pivots = result.dual_pivots if engine == "dual" else 0
         if result.binv is not None:
             # Either engine's verified inverse saves the next dual
             # re-entry on this basis its entry refactorization.
@@ -622,12 +633,33 @@ class RelaxationContext:
             pricing_passes=result.pricing_passes,
             bound_flips=result.bound_flips,
             dual_pivots=dual_pivots,
+            engine=engine,
             message=message,
             solve_seconds=solve_elapsed,
-            warm_started=result.warm_started,
+            warm_started=warm_pair is not None and result.warm_started,
             warm_token=token,
             duals=result.duals,
         )
+
+    def _solve_dual(
+        self,
+        lb: np.ndarray,
+        ub: np.ndarray,
+        pair: tuple[np.ndarray, np.ndarray],
+        binv: np.ndarray | None,
+    ):
+        """Dual-simplex attempt from ``pair``; ``None`` after a fallback exit."""
+        dres = solve_bounded_lp_dual(
+            self._family, lb, ub,
+            max_iterations=self.max_iterations, warm=pair, binv=binv,
+        )
+        if dres.status in ("dual_lost", "dual_infeasible"):
+            self.dual_fallbacks += 1
+            metrics.increment("relaxation.dual_fallbacks")
+            return None
+        self.dual_pivots += dres.dual_pivots
+        metrics.increment("relaxation.dual_pivots", dres.dual_pivots)
+        return dres
 
     # -- node solves -------------------------------------------------------
 
@@ -678,6 +710,7 @@ class RelaxationContext:
                 self.c, self._eff_a_ub, self._eff_b_ub,
                 self._eff_a_eq, self._eff_b_eq, lb, ub,
             )
+            result.engine = "highs"
             self.solve_seconds += result.solve_seconds
             return result
         return self._solve_revised(lb, ub, warm)

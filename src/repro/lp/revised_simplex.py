@@ -40,6 +40,14 @@ branch-and-bound node's basis is refactorized against the child's
 bounds, and the (usually tiny) set of basic variables pushed outside
 their new bounds is repaired by the phase-1 infeasibility minimization
 instead of a cold start.
+
+Within branch and bound this engine is the fallback: warm node
+re-solves and the roots of one-shot trees run the dual simplex
+(:mod:`repro.lp.dual_simplex`, which subclasses :class:`_Solver`), the
+latter from the same all-slack basis as :meth:`_Solver._cold_start`
+(:func:`slack_basis`).  The primal engine solves what the dual walk
+cannot enter or gives up on, solves without a token, and the cold roots
+of contexts the solve cache builds.
 """
 
 from __future__ import annotations
@@ -155,6 +163,21 @@ class SparseBoundedLP:
         self.slack_ub = np.concatenate([self.slack_ub, np.full(k, np.inf)])
         self.a = CSCMatrix.vstack(self.a, a_new)
         self.m += k
+
+
+def slack_basis(lp: SparseBoundedLP) -> tuple[np.ndarray, np.ndarray]:
+    """The all-slack starting pair ``(basis, vstat)`` of ``lp``.
+
+    Row ``i``'s slack is basic in row ``i``, so ``B = I`` and its inverse
+    needs no factorization; every structural column starts nonbasic at
+    its lower bound (the solvers' ``_normalize_nonbasic`` moves it to a
+    finite bound, or to free, where that bound is infinite).  The primal
+    cold start and the dual simplex's slack-basis root both start here.
+    """
+    basis = np.arange(lp.n, lp.n + lp.m, dtype=np.int64)
+    vstat = np.full(lp.n + lp.m, AT_LOWER, dtype=np.int8)
+    vstat[basis] = BASIC
+    return basis, vstat
 
 
 def _column_entries(a: CSCMatrix, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,9 +418,7 @@ class _Solver:
         self.xB = self._ftran(rhs)
 
     def _cold_start(self) -> None:
-        self.basis = np.arange(self.n, self.N, dtype=np.int64)
-        self.vstat[:] = AT_LOWER
-        self.vstat[self.basis] = BASIC
+        self.basis, self.vstat = slack_basis(self.lp)
         self._k = 0
         self.binv = np.eye(self.m)
         self._normalize_nonbasic()

@@ -90,6 +90,11 @@ class SolveStats:
     conversion_seconds: float = 0.0
     #: Wall clock spent inside the LP engine across all node solves.
     relaxation_solve_seconds: float = 0.0
+    #: Wall clock of the root relaxation's first solve (before cut rounds).
+    root_lp_seconds: float = 0.0
+    #: Engine that solved the root relaxation: ``"dual"``, ``"primal"`` or
+    #: ``"highs"`` (empty when no root LP ran or presolve decided it).
+    root_lp_engine: str = ""
     #: Node solves that skipped phase 1 via the parent's basis.
     warm_start_hits: int = 0
     #: Node solves where the parent basis was stale and phase 1 reran.
@@ -170,6 +175,8 @@ class SolveStats:
             "degenerate_pivots": self.degenerate_pivots,
             "conversion_seconds": self.conversion_seconds,
             "relaxation_solve_seconds": self.relaxation_solve_seconds,
+            "root_lp_seconds": self.root_lp_seconds,
+            "root_lp_engine": self.root_lp_engine,
             "warm_start_hits": self.warm_start_hits,
             "warm_start_misses": self.warm_start_misses,
             "refactorizations": self.refactorizations,
@@ -217,6 +224,8 @@ class SolveStats:
             degenerate_pivots=data.get("degenerate_pivots", 0),
             conversion_seconds=data.get("conversion_seconds", 0.0),
             relaxation_solve_seconds=data.get("relaxation_solve_seconds", 0.0),
+            root_lp_seconds=data.get("root_lp_seconds", 0.0),
+            root_lp_engine=data.get("root_lp_engine", ""),
             warm_start_hits=data.get("warm_start_hits", 0),
             warm_start_misses=data.get("warm_start_misses", 0),
             refactorizations=data.get("refactorizations", 0),

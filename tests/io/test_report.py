@@ -62,3 +62,14 @@ class TestSolveStatsBlock:
         )
         line = next(row for row in text.splitlines() if "hint fixed" in row)
         assert line.endswith("1 / 1 (0.042 s repairing)")
+
+    def test_root_lp_line_shows_seconds_and_engine(self):
+        from repro.io.report import render_solve_stats
+        from repro.telemetry import SolveStats
+
+        text = render_solve_stats(SolveStats(root_lp_seconds=0.0123, root_lp_engine="dual"))
+        line = next(row for row in text.splitlines() if "root LP" in row)
+        assert line.endswith("0.012 (dual)")
+        text = render_solve_stats(SolveStats())
+        line = next(row for row in text.splitlines() if "root LP" in row)
+        assert line.endswith("0.000 (n/a)")

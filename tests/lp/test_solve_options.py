@@ -160,8 +160,10 @@ class TestSolveCache:
         again = solve(p, backend="branch_bound", options=tight, cache=cache)
         assert cache.context_reuses == 1
         # The root re-solve needs more than one pivot, so the reused
-        # context must stop where a cold context with this budget does.
-        cold = solve(p, backend="branch_bound", options=tight)
+        # context must stop where a cold solve-cache context with this
+        # budget does (its root runs the primal engine; a one-shot tree
+        # roots on the dual simplex and needs at most one pivot here).
+        cold = solve(p, backend="branch_bound", options=tight, cache=SolveCache())
         assert "iteration_limit" in cold.message
         assert again.status is not SolveStatus.OPTIMAL
         assert "iteration_limit" in again.message

@@ -65,6 +65,13 @@ class TestAsDict:
         assert back.hint_repair_seconds == 0.125
         assert SolveStats.from_dict({}).hint_repair_seconds == 0.0
 
+    def test_root_lp_fields_round_trip(self):
+        s = SolveStats(root_lp_seconds=0.0125, root_lp_engine="dual")
+        back = SolveStats.from_dict(json.loads(json.dumps(s.as_dict())))
+        assert (back.root_lp_seconds, back.root_lp_engine) == (0.0125, "dual")
+        empty = SolveStats.from_dict({})
+        assert (empty.root_lp_seconds, empty.root_lp_engine) == (0.0, "")
+
     def test_finite_values_survive(self):
         s = SolveStats(best_bound=5.0, incumbent=6.0, mip_gap=0.2)
         data = s.as_dict()

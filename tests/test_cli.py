@@ -93,6 +93,11 @@ class TestProfileAndTrace:
         assert "nodes explored" in out
         assert "best-bound gap" in out
         assert "presolve reductions" in out
+        # The CLI's branch_bound relaxes nodes with HiGHS by default.
+        assert any(
+            "root LP seconds" in line and line.endswith("(highs)")
+            for line in out.splitlines()
+        )
 
     def test_trace_writes_one_json_record_per_solve(self, state_file, tmp_path):
         trace = tmp_path / "out.jsonl"
