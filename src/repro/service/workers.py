@@ -13,6 +13,15 @@ cancellation), and killing a process mid-``put`` on a shared
 every other producer.  A per-worker ``Pipe`` confines any such damage
 to the killed worker's connection, which the manager simply discards.
 
+Workers die with the pool's process.  Each pool holds the only write
+end of a *lifeline* pipe that nobody ever writes to: a worker watches
+the read end on a daemon thread, and when the owner dies — even by
+SIGKILL, which runs no cleanup — the kernel closes that write end, the
+read end reports EOF and the worker exits at once, mid-job or idle.
+Every process forked from this one closes its inherited copies of the
+write ends (a fork hook), so no worker can keep another pool's
+lifeline open.
+
 The pool only *hosts* processes; job bookkeeping (retries, timeouts,
 cancellation) lives in :class:`repro.service.manager.JobManager`, whose
 supervisor blocks on :meth:`WorkerPool.wait_handles` — every open result
@@ -23,7 +32,10 @@ worker's death wakes it the moment it happens.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
+import threading
+import weakref
 from typing import Any
 
 from ..telemetry import set_progress_sink
@@ -38,6 +50,26 @@ STOP = None
 PROGRESS_MIN_INTERVAL = 0.2
 
 
+#: Lifeline write ends held by pools in this process (see module doc).
+_LIFELINE_WRITERS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _close_lifelines_in_child() -> None:  # pragma: no cover - runs post-fork
+    for writer in list(_LIFELINE_WRITERS):
+        writer.close()
+
+
+os.register_at_fork(after_in_child=_close_lifelines_in_child)
+
+
+def _exit_with_owner(lifeline) -> None:
+    """Block until the pool's owner is gone, then end this worker now."""
+    try:
+        lifeline.poll(None)  # readable only at EOF: nothing is ever sent
+    finally:
+        os._exit(1)
+
+
 def _mp_context():
     try:
         return multiprocessing.get_context("fork")
@@ -45,17 +77,21 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def worker_main(worker_id: int, inbox, results) -> None:
+def worker_main(worker_id: int, inbox, results, lifeline) -> None:
     """The worker process loop: take a job, run it, report back.
 
     Keeps the per-process refine-session registry alive across jobs —
     that is what lets sequential refine requests against one session
     reuse a warm :class:`~repro.core.incremental.RevisionedModel`.
-    ``results`` is this worker's private end of its result pipe.
+    ``results`` is this worker's private end of its result pipe and
+    ``lifeline`` the read end of the pool's lifeline pipe.
     """
     # The manager owns lifecycle; a terminal Ctrl-C must not kill
     # workers before the manager drains them.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_owner, args=(lifeline,), name="lifeline", daemon=True
+    ).start()
     sessions: dict[str, Any] = {}
     while True:
         message = inbox.get()
@@ -83,7 +119,7 @@ def worker_main(worker_id: int, inbox, results) -> None:
 class WorkerHandle:
     """One pool slot: the live process plus manager-side bookkeeping."""
 
-    def __init__(self, worker_id: int, ctx) -> None:
+    def __init__(self, worker_id: int, ctx, lifeline) -> None:
         self.worker_id = worker_id
         self._ctx = ctx
         self.inbox = ctx.Queue()
@@ -91,7 +127,7 @@ class WorkerHandle:
         self.results, worker_end = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=worker_main,
-            args=(worker_id, self.inbox, worker_end),
+            args=(worker_id, self.inbox, worker_end, lifeline),
             name=f"planning-worker-{worker_id}",
             daemon=True,
         )
@@ -148,10 +184,13 @@ class WorkerPool:
         self._ctx = _mp_context()
         self._next_id = 0
         self.restarts = 0
+        # Only this process may hold the write end (see the module doc).
+        self._lifeline, self._lifeline_writer = self._ctx.Pipe(duplex=False)
+        _LIFELINE_WRITERS.add(self._lifeline_writer)
         self.workers: list[WorkerHandle] = [self._spawn() for _ in range(size)]
 
     def _spawn(self) -> WorkerHandle:
-        handle = WorkerHandle(self._next_id, self._ctx)
+        handle = WorkerHandle(self._next_id, self._ctx, self._lifeline)
         self._next_id += 1
         return handle
 
@@ -231,7 +270,14 @@ class WorkerPool:
                 worker.kill()
             elif not worker.results.closed:
                 worker.results.close()
+        self._close_lifeline()
 
     def kill_all(self) -> None:
         for worker in self.workers:
             worker.kill()
+        self._close_lifeline()
+
+    def _close_lifeline(self) -> None:
+        """Release the lifeline once every worker is gone."""
+        self._lifeline_writer.close()
+        self._lifeline.close()
