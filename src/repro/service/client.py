@@ -16,9 +16,7 @@ import http.client
 import json
 import socket
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Any, Iterator
 
 from ..core.entities import AsIsState
@@ -59,11 +57,6 @@ def _state_payload(state: "AsIsState | dict") -> dict:
     return state_to_dict(state) if isinstance(state, AsIsState) else dict(state)
 
 
-def _is_connection_refused(exc: urllib.error.URLError) -> bool:
-    reason = getattr(exc, "reason", None)
-    return isinstance(reason, (ConnectionRefusedError, ConnectionResetError))
-
-
 class ServiceClient:
     """Typed convenience wrapper over the JSON API.
 
@@ -90,6 +83,11 @@ class ServiceClient:
         binary: bool = False,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parsed = urllib.parse.urlsplit(self.base_url)
+        if parsed.scheme != "http" or not parsed.hostname:
+            raise ValueError(f"not an http:// service URL: {base_url!r}")
+        self._address = (parsed.hostname, parsed.port or 80)
+        self._path = parsed.path
         self.timeout = timeout
         self.connect_timeout = (
             min(timeout, 5.0) if connect_timeout is None else connect_timeout
@@ -100,21 +98,55 @@ class ServiceClient:
 
     # -- transport ---------------------------------------------------------
 
-    def _open(self, request: urllib.request.Request, timeout: float):
-        """urlopen with connect/read phases timed separately.
+    def _open(
+        self,
+        method: str,
+        path: str,
+        timeout: float,
+        body: bytes | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> http.client.HTTPResponse:
+        """One request on one connection, its two phases timed apart.
 
-        urllib exposes one deadline for the whole exchange; probing the
-        connection first with ``connect_timeout`` splits it so "host is
-        down" fails in seconds while a long solve may still stream its
-        response for the full read timeout.
+        The connection is made under ``connect_timeout``, so "host is
+        down" fails in seconds; the same socket then carries the request
+        and its response under ``timeout``, so a long solve may still
+        stream for the full read budget.  The response owns the socket:
+        closing it closes the connection.
         """
-        parsed = urllib.parse.urlsplit(request.full_url)
-        port = parsed.port or (443 if parsed.scheme == "https" else 80)
-        probe = socket.create_connection(
-            (parsed.hostname, port), timeout=self.connect_timeout
+        sock = socket.create_connection(self._address, timeout=self.connect_timeout)
+        sock.settimeout(timeout)
+        conn = http.client.HTTPConnection(*self._address, timeout=timeout)
+        conn.sock = sock
+        try:
+            conn.request(
+                method,
+                self._path + path,
+                body=body,
+                # One exchange per connection: the server's handler
+                # thread ends with it instead of waiting for another.
+                headers={"Connection": "close", **(headers or {})},
+            )
+            return conn.getresponse()
+        finally:
+            # Releases this side's hold only: the response's reader keeps
+            # the socket open until the response itself is closed.
+            sock.close()
+
+    @staticmethod
+    def _error(response: http.client.HTTPResponse) -> tuple[Any, str]:
+        """An error response's parsed body (``None`` if not JSON) and message."""
+        raw = response.read().decode("utf-8", errors="replace")
+        try:
+            parsed = json.loads(raw)
+        except json.JSONDecodeError:
+            parsed = None
+        message = (
+            parsed.get("error", response.reason)
+            if isinstance(parsed, dict)
+            else response.reason
         )
-        probe.close()
-        return urllib.request.urlopen(request, timeout=timeout)
+        return parsed, message
 
     def _request(
         self,
@@ -124,54 +156,39 @@ class ServiceClient:
         tolerate: tuple[int, ...] = (),
     ) -> dict[str, Any]:
         if body is None:
-            data, content_type = None, None
+            data, headers = None, {}
         elif self.binary and method == "POST":
-            data, content_type = encode_payload(body), WIRE_CONTENT_TYPE
+            data = encode_payload(body)
+            headers = {"Content-Type": WIRE_CONTENT_TYPE}
         else:
-            data, content_type = json.dumps(body).encode("utf-8"), "application/json"
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": content_type} if data else {},
-        )
+            data = json.dumps(body).encode("utf-8")
+            headers = {"Content-Type": "application/json"}
         attempt = 0
         while True:
             try:
-                with self._open(request, timeout=self.timeout) as response:
-                    return json.loads(response.read().decode("utf-8"))
-            except urllib.error.HTTPError as exc:
-                raw = exc.read().decode("utf-8", errors="replace")
-                try:
-                    parsed = json.loads(raw)
-                except json.JSONDecodeError:
-                    parsed = None
-                if exc.code in tolerate and isinstance(parsed, dict):
-                    return parsed
-                message = (
-                    parsed.get("error", exc.reason)
-                    if isinstance(parsed, dict)
-                    else exc.reason
-                )
-                retry_after = exc.headers.get("Retry-After")
-                raise ServiceError(
-                    exc.code,
-                    message,
-                    retry_after=float(retry_after) if retry_after else None,
-                ) from None
-            except (urllib.error.URLError, OSError) as exc:
-                refused = (
-                    isinstance(exc, urllib.error.URLError)
-                    and _is_connection_refused(exc)
-                ) or isinstance(exc, (ConnectionRefusedError, ConnectionResetError))
+                with self._open(
+                    method, path, self.timeout, body=data, headers=headers
+                ) as response:
+                    if response.status < 400:
+                        return json.loads(response.read().decode("utf-8"))
+                    parsed, message = self._error(response)
+            except (OSError, http.client.HTTPException) as exc:
+                refused = isinstance(exc, (ConnectionRefusedError, ConnectionResetError))
                 if refused and attempt < self.connect_retries:
                     time.sleep(self.retry_backoff * (2**attempt))
                     attempt += 1
                     continue
-                reason = getattr(exc, "reason", exc)
                 raise ServiceError(
-                    0, f"cannot reach {self.base_url}: {reason}"
+                    0, f"cannot reach {self.base_url}: {exc}"
                 ) from None
+            if response.status in tolerate and isinstance(parsed, dict):
+                return parsed
+            retry_after = response.getheader("Retry-After")
+            raise ServiceError(
+                response.status,
+                message,
+                retry_after=float(retry_after) if retry_after else None,
+            )
 
     # -- job submission ----------------------------------------------------
 
@@ -312,23 +329,18 @@ class ServiceClient:
         away, or no event came within ``timeout`` — raises
         :class:`ServiceError` with status 0.
         """
-        request = urllib.request.Request(
-            f"{self.base_url}/jobs/{job_id}/events?after={after}", method="GET"
-        )
         try:
             response = self._open(
-                request, timeout=self.timeout if timeout is None else timeout
+                "GET",
+                f"/jobs/{job_id}/events?after={after}",
+                self.timeout if timeout is None else timeout,
             )
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            try:
-                message = json.loads(raw).get("error", exc.reason)
-            except (json.JSONDecodeError, AttributeError):
-                message = exc.reason
-            raise ServiceError(exc.code, message) from None
-        except (urllib.error.URLError, OSError) as exc:
-            reason = getattr(exc, "reason", exc)
-            raise ServiceError(0, f"cannot reach {self.base_url}: {reason}") from None
+            if response.status >= 400:
+                with response:
+                    _, message = self._error(response)
+                raise ServiceError(response.status, message)
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServiceError(0, f"cannot reach {self.base_url}: {exc}") from None
         return self._events(response)
 
     def _events(self, response) -> Iterator[dict[str, Any]]:

@@ -2,12 +2,14 @@
 
 The solver never runs in most of these tests; they poke at the
 connection-establishment path (monkeypatched ``socket.create_connection``
-probes) and at admission control on a deliberately tiny queue.
+calls, raw-socket stub servers) and at admission control on a
+deliberately tiny queue.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import pytest
@@ -121,6 +123,119 @@ class TestConnectRetry:
         assert ServiceClient("http://h", timeout=2.0).connect_timeout == 2.0
         client = ServiceClient("http://h", timeout=30.0, connect_timeout=1.5)
         assert client.connect_timeout == 1.5
+
+
+class StubServer:
+    """A raw TCP server that counts connections and answers each request
+    with ``respond(conn)`` after reading its head and body."""
+
+    def __init__(self, respond) -> None:
+        self.respond = respond
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    request += chunk
+                head, _, body = request.partition(b"\r\n\r\n")
+                for line in head.split(b"\r\n"):
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        while len(body) < int(value):
+                            body += conn.recv(65536)
+                if request:
+                    self.respond(conn)
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+def json_reply(conn, body: bytes = b'{"jobs": []}') -> None:
+    conn.sendall(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+    )
+
+
+def broken_stream(conn) -> None:
+    """A chunked event stream cut off before its closing chunk."""
+    event = b'{"seq": 1, "ts": 0.0, "type": "state", "state": "running"}\n'
+    conn.sendall(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n" % (len(event), event)
+    )
+
+
+@pytest.fixture
+def stub():
+    servers: list[StubServer] = []
+
+    def boot(respond) -> StubServer:
+        servers.append(StubServer(respond))
+        return servers[-1]
+
+    yield boot
+    for server in servers:
+        server.close()
+
+
+class TestOneConnectionPerRequest:
+    def test_each_request_opens_exactly_one_connection(self, stub):
+        server = stub(json_reply)
+        client = ServiceClient(server.url, timeout=5.0)
+        for n in range(1, 4):
+            assert client.jobs() == []
+            assert server.connections == n
+        client.submit("plan", {"state": {}})
+        assert server.connections == 4
+
+    def test_a_closed_port_fails_within_the_connect_timeout(self):
+        client = ServiceClient(
+            f"http://127.0.0.1:{closed_port()}",
+            timeout=30.0,
+            connect_timeout=1.0,
+            connect_retries=0,
+        )
+        start = time.monotonic()
+        with pytest.raises(ServiceError) as excinfo:
+            client.jobs()
+        assert excinfo.value.status == 0
+        assert time.monotonic() - start < client.connect_timeout
+
+    def test_only_plain_http_urls_are_accepted(self):
+        for url in ("https://h", "h:8080", "http://"):
+            with pytest.raises(ValueError):
+                ServiceClient(url)
+
+    def test_a_dropped_event_stream_raises_status_zero(self, stub):
+        server = stub(broken_stream)
+        events = ServiceClient(server.url, timeout=5.0).stream("job")
+        assert next(events)["state"] == "running"
+        with pytest.raises(ServiceError) as excinfo:
+            next(events)
+        assert excinfo.value.status == 0
+        assert server.connections == 1
+
+    def test_a_connection_closed_unanswered_raises_status_zero(self, stub):
+        server = stub(lambda conn: None)
+        client = ServiceClient(server.url, timeout=5.0, connect_retries=0)
+        with pytest.raises(ServiceError) as excinfo:
+            client.stream("job")
+        assert excinfo.value.status == 0
+        assert server.connections == 1
 
 
 class TestBinaryClient:
