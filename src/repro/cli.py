@@ -655,10 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=int, default=2,
                    help="retries after a worker death before a job fails")
     p.add_argument("--journal", default=None, metavar="FILE",
-                   help="append one JSON line per job event to FILE")
+                   help="append one JSON line per job event to FILE "
+                        "(an audit trail; restores nothing on restart)")
     p.add_argument("--store", default=None, metavar="URL",
-                   help="shared job store (sqlite://PATH or memory://); "
-                        "lets any replica answer for any job")
+                   help="job store: sqlite://PATH is shared by replicas "
+                        "and survives restarts; memory:// (the default) "
+                        "is private to this process")
     p.add_argument("--replica-id", default=None, metavar="NAME",
                    help="stable replica identity in the shared store "
                         "(enables job recovery after a restart)")
@@ -691,8 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8079,
                    help="TCP port; 0 binds an ephemeral port")
     p.add_argument("--store", default=None, metavar="URL",
-                   help="the replicas' shared job store, for answering "
-                        "status/result reads when replicas are down")
+                   help="the replicas' shared job store (sqlite://PATH), "
+                        "for answering status/result reads when replicas "
+                        "are down; memory:// is not shared across "
+                        "processes")
     p.add_argument("--cache-size", type=int, default=256,
                    help="entries in the shared fingerprint result cache")
     p.add_argument("--health-interval", type=float, default=1.0,

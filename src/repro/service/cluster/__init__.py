@@ -1,7 +1,8 @@
 """The cluster tier: persistent job stores, the dispatcher, replicas.
 
-Everything here is optional — a bare ``JobManager`` with no store
-behaves exactly like the single-process service tier it grew out of.
+A bare ``JobManager`` needs only the store module (it opens an
+in-memory store when no ``store_url`` is named); the dispatcher and the
+replica harnesses are for running several replicas on one shared store.
 
 Submodules above :mod:`~repro.service.cluster.store` are loaded
 lazily: the manager imports the store at import time, and the replica

@@ -54,7 +54,7 @@ from ..client import TERMINAL, ServiceClient, ServiceError
 from ..config import ServiceConfig
 from ..jobs import CACHEABLE_KINDS, JobKind, new_job_id
 from ..manager import QueueFullError, ServiceUnavailableError, UnknownJobError
-from .store import JobStore, open_store
+from .store import JobStore, MemoryJobStore, open_store
 
 DISPATCHER_COUNTERS = (
     "dispatcher.jobs.routed",
@@ -140,11 +140,12 @@ class Dispatcher:
             )
             for url in urls
         ]
-        self._store = store
-        self._owns_store = False
-        if self._store is None and store_url is not None:
-            self._store = open_store(store_url)
-            self._owns_store = True
+        #: The replicas' store, the last resort for reads once no
+        #: replica answers (an empty in-memory one when none is named).
+        self._store: JobStore = (
+            store if store is not None else open_store(store_url)
+        )
+        self._owns_store = store is None
         self._lock = threading.RLock()
         #: Notified when a replica is evicted or re-added: a relay that
         #: found no replica to stream from waits on it.
@@ -190,9 +191,10 @@ class Dispatcher:
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
-        if self._store is not None and self._owns_store:
+        if self._owns_store:
+            # As in JobManager.shutdown: reads after it answer 404.
             self._store.close()
-            self._store = None
+            self._store = MemoryJobStore()
         return True
 
     def __enter__(self) -> "Dispatcher":
@@ -405,7 +407,7 @@ class Dispatcher:
                 continue
             self._maybe_cache(record)
             return record
-        record = self._store.get(job_id) if self._store is not None else None
+        record = self._store.get(job_id)
         if record is None:
             raise UnknownJobError(job_id)
         return record
@@ -444,14 +446,13 @@ class Dispatcher:
                     continue
                 self._mark_failure(replica, str(exc))
                 continue
-        if self._store is not None:
-            data = self._store.get(job_id)
-            if data is not None:
-                if data.get("state") in TERMINAL:
-                    return False
-                self._store.request_cancel(job_id)
-                return True
-        raise UnknownJobError(job_id)
+        data = self._store.get(job_id)
+        if data is None:
+            raise UnknownJobError(job_id)
+        if data.get("state") in TERMINAL:
+            return False
+        self._store.request_cancel(job_id)
+        return True
 
     def follow(self, job_id: str, after: int = 0) -> Iterator[dict[str, Any]]:
         """The job's events with ``seq > after``, live, across the cluster.
@@ -483,7 +484,7 @@ class Dispatcher:
             except ServiceError as exc:
                 if exc.status != 404:
                     self._mark_failure(replica, str(exc))
-        data = self._store.get(job_id) if self._store is not None else None
+        data = self._store.get(job_id)
         if data is None:
             raise UnknownJobError(job_id)
         events = [

@@ -1,21 +1,24 @@
 """Persistent job stores: any replica can load, serve and finish any job.
 
-PR 4's :class:`~repro.service.manager.JobManager` kept its job table in
-process memory; a replica restart forgot every job it ever ran.  The
-cluster tier replaces that with a pluggable :class:`JobStore`: the
-manager writes every record and lifecycle/progress event through it, so
-a job submitted to one replica is visible — status, result, event
-stream — from every other replica and from the dispatcher, and survives
-the owning replica's death.
+Every :class:`~repro.service.manager.JobManager` writes each record
+and lifecycle/progress event through a :class:`JobStore`, which answers
+for a job once the manager's own table no longer does (evicted history,
+the full event stream).  With a shared store, a job submitted to one
+replica is visible — status, result, event stream — from every other
+replica and from the dispatcher, and survives the owning replica's
+death.
 
 Two implementations:
 
-* :class:`MemoryJobStore` — a dict under a lock; the single-process
-  default (and what standalone ``etransform serve`` keeps using).
+* :class:`MemoryJobStore` — a dict under a lock that keeps as many
+  records as the manager's job history (and every event of each); the
+  default of standalone ``etransform serve``.  It lives and dies with its process, so ``memory://`` is
+  never shared between replicas and survives no restart.
 * :class:`SqliteJobStore` — one SQLite file in WAL mode shared by every
-  replica on the host.  WAL gives concurrent readers against a single
-  writer, which matches the access pattern exactly: many dispatcher /
-  replica reads, one short write per lifecycle transition.
+  replica on the host, and the only store a job survives a restart in.
+  WAL gives concurrent readers against a single writer, which matches
+  the access pattern exactly: many dispatcher / replica reads, one
+  short write per lifecycle transition.
 
 Records cross the store as wire-encoded blobs
 (:mod:`repro.io.wire` — binary CSC/state arrays, version byte, JSON
@@ -96,26 +99,55 @@ class JobStore:
 
 
 class MemoryJobStore(JobStore):
-    """The in-process store: exact same contract, no persistence."""
+    """The in-process store: exact same contract, no persistence.
 
-    def __init__(self) -> None:
+    ``history_limit`` bounds the terminal records it keeps: past it, the
+    record that turned terminal first is dropped together with its
+    events, claim and cancel flag — the order a manager evicts its own
+    job history in, so the store never answers for a job the manager
+    already forgot.  Live records are never dropped; ``None`` keeps
+    everything.  The limit counts records, not events: a record held
+    keeps its whole event stream.
+    """
+
+    def __init__(self, history_limit: int | None = None) -> None:
         self._lock = threading.Lock()
         self._records: dict[str, dict[str, Any]] = {}
         self._claims: dict[str, str | None] = {}
         self._cancels: set[str] = set()
-        self._events: dict[str, list[tuple[int, dict]]] = {}
+        #: Each job's events, wire-encoded as in SQLite (a private copy
+        #: at under half a dict's footprint); seq ``i + 1`` at index ``i``.
+        self._events: dict[str, list[bytes]] = {}
+        self._history_limit = history_limit
+        #: Terminal job ids in the order they turned terminal (a dict
+        #: as an ordered set): the eviction order.
+        self._terminal: dict[str, None] = {}
 
     def put(self, record: dict[str, Any], claimed_by: str | None = None) -> None:
         job_id = record["id"]
         with self._lock:
-            self._records[job_id] = dict(record)
             self._claims[job_id] = claimed_by
             self._events.setdefault(job_id, [])
+            self._file(job_id, record)
 
     def update(self, job_id: str, record: dict[str, Any]) -> None:
         with self._lock:
             if job_id in self._records:
-                self._records[job_id] = dict(record)
+                self._file(job_id, record)
+
+    def _file(self, job_id: str, record: dict[str, Any]) -> None:
+        """Store the record and evict past the history limit (under the lock)."""
+        self._records[job_id] = dict(record)
+        if self._history_limit is None or record.get("state") in LIVE_STATES:
+            return
+        self._terminal.setdefault(job_id)
+        while len(self._terminal) > self._history_limit:
+            oldest = next(iter(self._terminal))
+            del self._terminal[oldest]
+            del self._records[oldest]
+            self._claims.pop(oldest, None)
+            self._cancels.discard(oldest)
+            self._events.pop(oldest, None)
 
     def get(self, job_id: str) -> dict[str, Any] | None:
         with self._lock:
@@ -146,17 +178,16 @@ class MemoryJobStore(JobStore):
     def append_event(self, job_id: str, event: dict[str, Any]) -> int:
         with self._lock:
             events = self._events.setdefault(job_id, [])
-            seq = len(events) + 1
-            events.append((seq, dict(event)))
-            return seq
+            events.append(encode_payload(event))
+            return len(events)
 
     def events(self, job_id: str, after: int = 0) -> list[tuple[int, dict]]:
         with self._lock:
-            return [
-                (seq, dict(event))
-                for seq, event in self._events.get(job_id, [])
-                if seq > after
-            ]
+            after = max(after, 0)
+            blobs = self._events.get(job_id, [])[after:]
+        return [
+            (seq, decode_payload(blob)) for seq, blob in enumerate(blobs, after + 1)
+        ]
 
 
 _SCHEMA = """
@@ -293,16 +324,16 @@ class SqliteJobStore(JobStore):
             self._conn.close()
 
 
-def open_store(url: str | None) -> JobStore:
+def open_store(url: str | None, history_limit: int | None = None) -> JobStore:
     """Open the store a ``store_url`` names.
 
-    ``None`` → :class:`MemoryJobStore`; ``memory://`` likewise;
-    ``sqlite:///path/to/file.db`` (the path is everything after
-    ``sqlite://``) or a bare filesystem path →
-    :class:`SqliteJobStore`.
+    ``None`` → :class:`MemoryJobStore` bounded by ``history_limit``;
+    ``memory://`` likewise; ``sqlite:///path/to/file.db`` (the path is
+    everything after ``sqlite://``) or a bare filesystem path →
+    :class:`SqliteJobStore`, which keeps every record.
     """
     if url is None or url == "memory://":
-        return MemoryJobStore()
+        return MemoryJobStore(history_limit)
     if url.startswith("sqlite://"):
         path = url.removeprefix("sqlite://")
         if not path:

@@ -23,9 +23,12 @@ class ServiceConfig:
     max_retries: int = 2
     retry_backoff: float = 0.25
     result_cache_size: int = 128
-    #: Max *terminal* job records kept in memory (oldest-finished are
-    #: evicted past it; the JSONL journal stays the permanent audit
-    #: trail).  ``None`` disables eviction.
+    #: Max *terminal* job records kept in memory: the manager's table
+    #: and, without a ``store_url``, its in-memory job store both evict
+    #: the oldest-finished past it (the JSONL journal stays the
+    #: permanent audit trail).  It bounds records, not bytes: the
+    #: in-memory store keeps every event of a job it holds, so it grows
+    #: with solve length.  ``None`` disables eviction.
     job_history_limit: int | None = 1024
     journal_path: str | None = None
     #: How long a graceful drain waits for in-flight jobs on shutdown.
@@ -34,9 +37,11 @@ class ServiceConfig:
     #: ``Retry-After`` once this many jobs are queued (``None`` → accept
     #: everything, the single-process default).
     max_queue_depth: int | None = None
-    #: Persistent job store shared by every replica (``None`` keeps the
-    #: job table in-process; ``sqlite:///path.db`` or a bare path opens
-    #: the shared SQLite store).
+    #: The job store every record and event is written through.
+    #: ``None`` or ``memory://`` opens an in-process store that no other
+    #: process shares and no restart survives; ``sqlite:///path.db`` or
+    #: a bare path opens the SQLite store replicas share and a
+    #: restarted replica recovers its jobs from.
     store_url: str | None = None
     #: Stable identity of this replica in the shared store (claims,
     #: recovery after restart).  ``None`` derives a fresh random id.

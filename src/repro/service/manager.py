@@ -1,4 +1,4 @@
-"""The :class:`JobManager`: queue, dispatch, retries, cache, journal.
+"""The :class:`JobManager`: queue, dispatch, retries, cache, job store.
 
 A single supervisor thread owns all lifecycle transitions (HTTP threads
 only enqueue/cancel under the manager lock), which keeps the state
@@ -29,8 +29,14 @@ a job notifies one :class:`threading.Condition` over the manager lock,
 which is what :meth:`JobManager.follow`, :meth:`JobManager.wait` and the
 shutdown drain wait on.
 
-Every transition is appended to the optional JSONL journal, so an
-operator can reconstruct what the service did after the fact.
+Every record and event is written through a job store
+(:mod:`~repro.service.cluster.store`), which answers for a job once the
+manager's own table no longer does.  Without a ``store_url`` it is an
+in-memory store holding as many records as the job history, each with
+its whole event stream; ``sqlite://PATH`` shares it between replicas
+and is what a restarted replica recovers its jobs from.  Every transition is also appended to the optional JSONL journal:
+an audit trail of what the service did, without result bodies, from
+which nothing is restored.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from typing import Any, Iterator
 from ..io.serialization import append_jsonl, read_jsonl
 from ..lp.fingerprint import payload_fingerprint
 from ..telemetry import declare_counters, metrics
-from .cluster.store import JobStore, open_store
+from .cluster.store import JobStore, MemoryJobStore, open_store
 from .config import ServiceConfig
 from .executor import PayloadError, validate_payload
 from .jobs import (
@@ -133,67 +139,26 @@ class JobManager:
         self.cache_hits = 0
         self.cache_misses = 0
         self._pool: WorkerPool | None = None
-        #: Shared persistent job store (cluster mode); ``None`` keeps
-        #: the PR-4 in-process behavior byte for byte.
-        self._store: JobStore | None = store
-        self._owns_store = False
-        if self._store is None and self.config.store_url is not None:
-            self._store = open_store(self.config.store_url)
-            self._owns_store = True
+        #: The job store every record and event is written through: the
+        #: one given, else the one ``store_url`` names (an in-memory
+        #: store keeping ``job_history_limit`` finished records when none
+        #: is named).
+        self._store: JobStore = (
+            store
+            if store is not None
+            else open_store(self.config.store_url, self.config.job_history_limit)
+        )
+        self._owns_store = store is None
         #: EWMA of successful-attempt seconds — the Retry-After estimate.
         self._avg_job_seconds = 1.0
         self._last_cancel_poll = 0.0
         self._journal = None
         if self.config.journal_path:
-            # Replay what an earlier incarnation journalled *before*
-            # reopening the file for append, so restarts keep answering
-            # for recently finished jobs (bounded by job_history_limit).
-            self._replay_journal(self.config.journal_path)
             self._journal = open(self.config.journal_path, "a", encoding="utf-8")
         self._stop = threading.Event()
         self._accepting = False
         self._supervisor: threading.Thread | None = None
         self.started_at: float | None = None
-
-    def _replay_journal(self, path: str) -> None:
-        """Resurrect recently finished jobs from an existing journal.
-
-        Only *terminal* records come back (a journal says nothing about
-        payloads, so a queued/running entry cannot be re-dispatched from
-        it — cluster mode recovers those from the job store instead),
-        and only the newest ``job_history_limit`` of them: replaying a
-        journal longer than the limit must not resurrect jobs the
-        previous incarnation had already evicted.  A ``succeeded`` entry
-        carries its result body, so the job answers with it again.
-        """
-        terminal_names = {state.value for state in TERMINAL_STATES}
-        final: "OrderedDict[str, dict]" = OrderedDict()
-        for entry in read_jsonl(path):
-            job_id = entry.get("job")
-            if job_id is None or entry.get("state") not in terminal_names:
-                continue
-            final[job_id] = entry
-            final.move_to_end(job_id)
-        limit = self.config.job_history_limit
-        entries = list(final.values())
-        if limit is not None:
-            entries = entries[-limit:]
-        for entry in entries:
-            record = JobRecord.from_store_dict(
-                {
-                    "id": entry["job"],
-                    "kind": entry.get("kind", "plan"),
-                    "state": entry["state"],
-                    "attempts": entry.get("attempts", 0),
-                    "error": entry.get("error"),
-                    "via": entry.get("via"),
-                    "result": entry.get("result"),
-                    "created_at": entry.get("ts"),
-                    "finished_at": entry.get("ts"),
-                }
-            )
-            self._jobs[record.id] = record
-            self._history.append(record.id)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -208,8 +173,7 @@ class JobManager:
         self._wake_fds = (read_end, write_end)
         self._accepting = True
         self.started_at = time.time()
-        if self._store is not None:
-            self._recover_from_store()
+        self._recover_from_store()
         self._supervisor = threading.Thread(
             target=self._supervise, name="planning-supervisor", daemon=True
         )
@@ -295,9 +259,11 @@ class JobManager:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
-        if self._store is not None and self._owns_store:
+        if self._owns_store:
+            # An empty store in its place: a read that outlives the
+            # front still answers 404, not a closed-database error.
             self._store.close()
-            self._store = None
+            self._store = MemoryJobStore()
         return drained
 
     # -- public job API ----------------------------------------------------
@@ -406,14 +372,13 @@ class JobManager:
             record = self._jobs.get(job_id)
         if record is not None:
             return record
-        # Not (or no longer) in this replica's table: the shared store
+        # Not (or no longer) in this replica's table: a SQLite store
         # still answers for evicted history and for jobs owned by other
         # replicas — the detached record is a read-only snapshot.
-        if self._store is not None:
-            data = self._store.get(job_id)
-            if data is not None:
-                return JobRecord.from_store_dict(data)
-        raise UnknownJobError(job_id)
+        data = self._store.get(job_id)
+        if data is None:
+            raise UnknownJobError(job_id)
+        return JobRecord.from_store_dict(data)
 
     def jobs(self) -> list[JobRecord]:
         with self._lock:
@@ -425,24 +390,16 @@ class JobManager:
         A snapshot (:meth:`follow` is the live stream built on it);
         ``done=True`` says no event will follow.  Local records answer
         from the in-memory buffer; anything else falls back to the
-        shared store.
+        store.
         """
         with self._lock:
             record = self._jobs.get(job_id)
-            if record is not None:
-                fresh = [e for e in record.events if e["seq"] > after]
-                # The buffer is bounded: if the oldest retained event is
-                # already past `after`, the gap lives only in the store.
-                if (
-                    self._store is not None
-                    and record.events
-                    and record.events[0]["seq"] > after + 1
-                ):
-                    fresh = None
-                else:
-                    return fresh, record.done
-        if self._store is None:
-            raise UnknownJobError(job_id)
+            # The buffer is bounded: if the oldest retained event is
+            # already past `after`, the gap lives only in the store.
+            if record is not None and not (
+                record.events and record.events[0]["seq"] > after + 1
+            ):
+                return [e for e in record.events if e["seq"] > after], record.done
         data = self._store.get(job_id)
         if data is None:
             raise UnknownJobError(job_id)
@@ -472,18 +429,17 @@ class JobManager:
                 record.via = None
                 self._finish(record, JobState.CANCELLED)
                 return True
-        # A job this replica does not hold: flag it in the shared store;
-        # the owning replica's supervisor polls the flag and kills the
+        # A job this replica does not hold: flag it in the store; the
+        # owning replica's supervisor polls the flag and kills the
         # worker locally (cancellation across replicas).
-        if self._store is not None:
-            data = self._store.get(job_id)
-            if data is not None:
-                if JobState(data["state"]) in TERMINAL_STATES:
-                    return False
-                self._store.request_cancel(job_id)
-                self._log_event(event="cancel_requested", job=job_id)
-                return True
-        raise UnknownJobError(job_id)
+        data = self._store.get(job_id)
+        if data is None:
+            raise UnknownJobError(job_id)
+        if JobState(data["state"]) in TERMINAL_STATES:
+            return False
+        self._store.request_cancel(job_id)
+        self._log_event(event="cancel_requested", job=job_id)
+        return True
 
     def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
         """Block until ``job_id`` is terminal (test/CLI convenience)."""
@@ -680,7 +636,7 @@ class JobManager:
         # A queue head already due is waiting for a worker, whose result
         # pipe wakes the supervisor; only future releases need a timer.
         due.extend(ready_at for ready_at, _, _ in self._pending if ready_at > now)
-        if self._store is not None and (self._pending or self._pool.busy_count):
+        if self._pending or self._pool.busy_count:
             due.append(self._last_cancel_poll + self.config.remote_cancel_interval)
         return max(0.0, min(due) - now) if due else None
 
@@ -702,8 +658,6 @@ class JobManager:
         ``remote_cancel_interval`` over this replica's live jobs only,
         so the store sees a handful of point reads per interval.
         """
-        if self._store is None:
-            return
         now = time.monotonic()
         if now - self._last_cancel_poll < self.config.remote_cancel_interval:
             return
@@ -877,11 +831,7 @@ class JobManager:
     def _finish(self, record: JobRecord, state: JobState) -> None:
         record.transition(state)
         metrics.increment(f"service.jobs.{state.value}")
-        if state is JobState.SUCCEEDED:
-            # The journal keeps the body so a replay answers with it.
-            self._log_job(record, event=state.value, result=record.result)
-        else:
-            self._log_job(record, event=state.value)
+        self._log_job(record, event=state.value)
         self._store_sync(record)
         terminal_event: dict[str, Any] = {"type": "state", "state": state.value}
         if record.via is not None:
@@ -891,7 +841,7 @@ class JobManager:
         self._append_event(record, terminal_event)
         # Bound in-memory retention: terminal records (and their payload
         # + result bodies) are evicted oldest-first past the configured
-        # limit; the journal keeps the permanent audit trail.
+        # limit, in the order a bounded in-memory store drops them too.
         self._history.append(record.id)
         limit = self.config.job_history_limit
         if limit is not None:
@@ -899,18 +849,14 @@ class JobManager:
                 self._jobs.pop(self._history.popleft(), None)
 
     def _store_put(self, record: JobRecord) -> None:
-        """First write of a record to the shared store (claimed by us)."""
-        if self._store is None:
-            return
+        """First write of a record to the store (claimed by us)."""
         try:
             self._store.put(record.to_store_dict(), claimed_by=self.replica_id)
         except Exception:  # pragma: no cover - store outage must not kill jobs
             self._log_event(event="store_error", op="put", job=record.id)
 
     def _store_sync(self, record: JobRecord) -> None:
-        """Mirror a record's current state into the shared store."""
-        if self._store is None:
-            return
+        """Mirror a record's current state into the store."""
         try:
             self._store.update(record.id, record.to_store_dict())
         except Exception:  # pragma: no cover - store outage must not kill jobs
@@ -925,13 +871,12 @@ class JobManager:
         """
         data = {"ts": time.time(), **event}
         seq = None
-        if self._store is not None:
-            # The store is the seq authority — a recovered job's stream
-            # continues from where the previous incarnation left it.
-            try:
-                seq = self._store.append_event(record.id, data)
-            except Exception:  # pragma: no cover - store outage tolerated
-                self._log_event(event="store_error", op="event", job=record.id)
+        # The store is the seq authority — a recovered job's stream
+        # continues from where the previous incarnation left it.
+        try:
+            seq = self._store.append_event(record.id, data)
+        except Exception:  # pragma: no cover - store outage tolerated
+            self._log_event(event="store_error", op="event", job=record.id)
         if seq is None:
             seq = record.events[-1]["seq"] + 1 if record.events else 1
         record.events.append({"seq": seq, **data})

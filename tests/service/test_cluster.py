@@ -480,6 +480,24 @@ class TestDispatcherErrors:
         with pytest.raises(ValueError):
             dispatcher.submit("transmogrify", plan_payload(state_doc))
 
+    def test_reads_after_shutdown_are_unknown(self, monkeypatch, tmp_path):
+        # The dispatcher closes the store it opened; a job no replica
+        # knows must still answer "unknown job", not a closed database.
+        dispatcher = Dispatcher(
+            ["http://127.0.0.1:9"], store_url=f"sqlite://{tmp_path / 'jobs.db'}"
+        )
+
+        def unknown(*args, **kwargs):
+            raise ServiceError(404, "unknown job")
+
+        for name in ("job", "cancel"):
+            monkeypatch.setattr(dispatcher.replicas[0].client, name, unknown)
+        dispatcher.shutdown()
+        with pytest.raises(UnknownJobError):
+            dispatcher.get("nope")
+        with pytest.raises(UnknownJobError):
+            dispatcher.cancel("nope")
+
 
 class TestStoreBackedManagerUnit:
     """Manager↔store integration that needs no dispatcher."""

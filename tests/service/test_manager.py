@@ -17,13 +17,19 @@ import pytest
 
 import repro
 from repro import PlannerOptions
+from repro.io.serialization import read_jsonl
 from repro.service import (
+    JobKind,
+    JobManager,
+    JobRecord,
     JobState,
     PayloadError,
+    ServiceConfig,
     ServiceUnavailableError,
     UnknownJobError,
     replay_journal,
 )
+from repro.service.jobs import MAX_EVENT_BUFFER
 
 from .conftest import SLOW_HORIZON, VERY_SLOW_HORIZON, plan_payload, sim_payload
 
@@ -344,6 +350,8 @@ class TestShutdown:
         final = replay_journal(str(journal))
         assert final[ok.id] == "succeeded"
         assert final[dropped.id] == "cancelled"
+        # An audit trail: no entry carries a result body.
+        assert not any("result" in entry for entry in read_jsonl(str(journal)))
 
 
 class TestSubmitValidation:
@@ -415,131 +423,69 @@ class TestSubmitValidation:
         assert manager.wait(record.id, timeout=60.0).state is JobState.SUCCEEDED
 
 
-class TestJournalReplay:
-    """Restart recovery from the JSONL journal (cluster-less mode)."""
-
-    @staticmethod
-    def _entry(job_id: str, state: str, **extra) -> dict:
-        return {
-            "ts": time.time(),
-            "event": "finished" if state in (
-                "succeeded", "failed", "cancelled", "timeout"
-            ) else state,
-            "job": job_id,
-            "kind": "plan",
-            "state": state,
-            "attempts": 1,
-            "error": None,
-            "via": "solve",
-            **extra,
-        }
-
-    @staticmethod
-    def _write_journal(path, entries) -> None:
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry) + "\n")
-
-    def test_terminal_jobs_resurrect_with_final_state(
-        self, make_manager, tmp_path
-    ):
-        journal = tmp_path / "journal.jsonl"
-        self._write_journal(
-            journal,
-            [
-                self._entry("done-1", "queued"),
-                self._entry("done-1", "running"),
-                self._entry("done-1", "succeeded"),
-                self._entry("dead-1", "failed", error="boom"),
-            ],
-        )
-        manager = make_manager(journal_path=str(journal))
-        assert manager.get("done-1").state is JobState.SUCCEEDED
-        record = manager.get("dead-1")
-        assert record.state is JobState.FAILED
-        assert record.error == "boom"
-
-    def test_non_terminal_jobs_do_not_resurrect(self, make_manager, tmp_path):
-        # A journal knows nothing about payloads, so a queued/running
-        # entry cannot be re-dispatched from it; it must simply vanish.
-        journal = tmp_path / "journal.jsonl"
-        self._write_journal(
-            journal,
-            [
-                self._entry("stuck-1", "queued"),
-                self._entry("stuck-2", "running"),
-            ],
-        )
-        manager = make_manager(journal_path=str(journal))
-        for job_id in ("stuck-1", "stuck-2"):
-            with pytest.raises(UnknownJobError):
-                manager.get(job_id)
-
-    def test_replay_respects_job_history_limit(self, make_manager, tmp_path):
-        # Regression: a journal longer than job_history_limit used to
-        # resurrect every terminal job it mentioned, bringing back
-        # records the previous incarnation had already evicted (and
-        # growing without bound across restarts).  Only the *newest*
-        # ``limit`` terminal jobs may come back.
-        journal = tmp_path / "journal.jsonl"
-        self._write_journal(
-            journal,
-            [self._entry(f"job-{n}", "succeeded") for n in range(6)],
-        )
-        manager = make_manager(journal_path=str(journal), job_history_limit=2)
-        for n in range(4):
-            with pytest.raises(UnknownJobError):
-                manager.get(f"job-{n}")
-        assert manager.get("job-4").state is JobState.SUCCEEDED
-        assert manager.get("job-5").state is JobState.SUCCEEDED
-
-    def test_replay_keeps_the_latest_entry_per_job(
-        self, make_manager, tmp_path
-    ):
-        # A retried job journals failed-then-succeeded; recency (for
-        # the history limit) and state must follow the *last* entry.
-        journal = tmp_path / "journal.jsonl"
-        self._write_journal(
-            journal,
-            [
-                self._entry("flaky", "failed", error="first try"),
-                self._entry("other", "succeeded"),
-                self._entry("flaky", "succeeded", attempts=2),
-            ],
-        )
-        manager = make_manager(journal_path=str(journal), job_history_limit=1)
-        with pytest.raises(UnknownJobError):
-            manager.get("other")  # older than flaky's final entry
-        record = manager.get("flaky")
-        assert record.state is JobState.SUCCEEDED
-        assert record.attempts == 2
-
-    def test_resurrected_jobs_evict_before_new_work(
-        self, make_manager, state_doc, tmp_path
-    ):
-        journal = tmp_path / "journal.jsonl"
-        self._write_journal(journal, [self._entry("old-1", "succeeded")])
-        manager = make_manager(journal_path=str(journal), job_history_limit=1)
-        fresh = manager.wait(
-            manager.submit("plan", plan_payload(state_doc)).id, timeout=60.0
-        )
-        assert fresh.state is JobState.SUCCEEDED
-        with pytest.raises(UnknownJobError):
-            manager.get("old-1")
+class TestStoreRecovery:
+    """Restart recovery through a SQLite job store."""
 
     def test_restart_answers_with_the_result(self, make_manager, state_doc, tmp_path):
-        # Two managers on one journal file: the second comes up after the
-        # first shut down and must answer for the finished job with the
-        # same result body, not just its state.
-        journal = str(tmp_path / "journal.jsonl")
-        first = make_manager(workers=1, journal_path=journal)
+        # Two managers on one store file, one after the other, under one
+        # replica id: the second must answer for the job the first
+        # finished with the same result body, not just its state.
+        store_url = f"sqlite://{tmp_path / 'jobs.db'}"
+        first = make_manager(workers=1, store_url=store_url, replica_id="r")
         job = first.wait(first.submit("plan", plan_payload(state_doc)).id, timeout=60.0)
         expected = job.to_dict()["result"]
         assert expected is not None
         first.shutdown()
-        second = make_manager(workers=1, journal_path=journal)
-        replayed = second.get(job.id).to_dict()
-        assert replayed["state"] == "succeeded"
-        assert replayed["result"] == expected
+        second = make_manager(workers=1, store_url=store_url, replica_id="r")
+        restored = second.get(job.id).to_dict()
+        assert restored["state"] == "succeeded"
+        assert restored["result"] == expected
+
+    def test_reads_after_shutdown_are_unknown(self, tmp_path):
+        # The manager closes the store it opened; an id it does not
+        # hold must still answer "unknown job", not a closed database.
+        manager = JobManager(
+            ServiceConfig(store_url=f"sqlite://{tmp_path / 'jobs.db'}")
+        )
+        manager.shutdown()
+        with pytest.raises(UnknownJobError):
+            manager.get("nope")
+        with pytest.raises(UnknownJobError):
+            manager.events("nope")
+        with pytest.raises(UnknownJobError):
+            manager.cancel("nope")
+
+
+class TestDefaultStore:
+    """A manager with no store URL runs on a bounded in-memory store."""
+
+    def test_events_past_the_buffer_come_back_in_full(self):
+        # More events than the in-memory buffer holds: the stream from
+        # seq 0 must still be dense, served from the store.
+        manager = JobManager(ServiceConfig())
+        record = JobRecord(kind=JobKind.PLAN, payload={})
+        count = MAX_EVENT_BUFFER + 88
+        with manager._lock:
+            manager._jobs[record.id] = record
+            manager._store_put(record)
+            for n in range(count):
+                manager._append_event(record, {"type": "progress", "n": n})
+            manager._finish(record, JobState.CANCELLED)
+        events, done = manager.events(record.id, after=0)
+        assert done
+        assert [e["seq"] for e in events] == list(range(1, count + 2))
+        assert [e["seq"] for e in manager.follow(record.id)] == list(
+            range(1, count + 2)
+        )
+
+    def test_store_holds_no_more_than_the_history_limit(
+        self, make_manager, state_doc
+    ):
+        manager = make_manager(job_history_limit=2)
+        payload = plan_payload(state_doc)
+        manager.wait(manager.submit("plan", payload).id, timeout=60.0)
+        for _ in range(5):
+            assert manager.submit("plan", payload).via == "cache"
+        stored = manager._store.list()
+        assert len(stored) <= 2
+        assert {data["id"] for data in stored} == {r.id for r in manager.jobs()}

@@ -80,6 +80,39 @@ class TestStoreContract:
         assert [seq for seq, _ in store.events("j1")] == [1, 2, 3, 4, 5]
         tail = store.events("j1", after=3)
         assert [(seq, event["n"]) for seq, event in tail] == [(4, 3), (5, 4)]
+        assert store.events("j1", after=5) == []
+
+    def test_events_are_private_copies(self, store):
+        store.put(job_record("j1"))
+        event = {"type": "progress", "n": 1}
+        store.append_event("j1", event)
+        event["n"] = 99
+        store.events("j1")[0][1]["n"] = 42
+        assert store.events("j1") == [(1, {"type": "progress", "n": 1})]
+
+
+class TestMemoryHistoryLimit:
+    """A bounded :class:`MemoryJobStore` forgets like a manager's history."""
+
+    def test_oldest_terminal_records_dropped_with_their_traces(self):
+        store = MemoryJobStore(history_limit=2)
+        store.put(job_record("live"), claimed_by="r1")  # older than them all
+        store.append_event("live", {"type": "state", "state": "queued"})
+        for job_id in ("a", "b", "c"):
+            store.put(job_record(job_id), claimed_by="r1")
+            store.append_event(job_id, {"type": "state", "state": "queued"})
+            store.request_cancel(job_id)
+            store.update(job_id, job_record(job_id, state="cancelled"))
+        assert store.get("a") is None
+        assert store.events("a") == []
+        assert store.cancel_requested("a") is False
+        assert {r["id"] for r in store.list(claimed_by="r1")} == {"live", "b", "c"}
+        assert store.cancel_requested("b") is True
+        # A fourth terminal record drops the next oldest, never the live one.
+        store.put(job_record("d", state="succeeded"), claimed_by="r1")
+        assert store.get("b") is None
+        assert {r["id"] for r in store.list()} == {"live", "c", "d"}
+        assert [seq for seq, _ in store.events("live")] == [1]
 
 
 class TestTwoReplicaSqlite:
@@ -139,6 +172,10 @@ class TestOpenStore:
     def test_none_and_memory_urls(self):
         assert isinstance(open_store(None), MemoryJobStore)
         assert isinstance(open_store("memory://"), MemoryJobStore)
+        bounded = open_store(None, history_limit=1)
+        bounded.put(job_record("old", state="succeeded"))
+        bounded.put(job_record("new", state="succeeded"))
+        assert [r["id"] for r in bounded.list()] == ["new"]
 
     def test_sqlite_url_and_bare_path(self, tmp_path):
         with open_store(f"sqlite://{tmp_path}/a.db") as store:
