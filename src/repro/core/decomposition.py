@@ -5,18 +5,18 @@ group independently picks one eligible target site, and blocks couple
 only through the per-target capacity rows.  This module exploits that:
 
 * **Group-block extraction** — :func:`extract_group_blocks` prices
-  every (group, target) pair with the module-level
-  :func:`repro.core.formulation.placement_cost` plus a per-site space
+  every (group, target) pair in one array pass with
+  :func:`repro.core.formulation.placement_costs`, plus a per-site space
   rate, *without* building the monolithic MILP (which is exactly what
-  becomes infeasible at 100k+ servers).  The cost-matrix build fans
-  out across worker processes via :func:`repro.parallel.parallel_map`.
+  becomes infeasible at 100k+ servers).
 * **Restricted master** — :class:`repro.lp.master.RestrictedMasterLP`
   over the generated placement columns, solved by the builtin revised
   simplex with warm-started re-solves, yielding capacity duals
   :math:`\\pi_j \\le 0` and convexity duals :math:`\\mu_g`.
 * **Parallel pricing** — per-group subproblems ("best site under the
-  current duals") are chunked across the same worker pool; each round
-  adds every column with negative reduced cost.
+  current duals") are chunked across worker processes via
+  :func:`repro.parallel.parallel_map`; each round adds every column
+  with negative reduced cost.
 * **Dual stabilization** — Wentges smoothing: separation runs at
   :math:`\\tilde\\pi = \\alpha\\,\\pi_{master} + (1-\\alpha)\\,\\pi_{best}`,
   with a mis-pricing re-check at the exact master duals before
@@ -61,7 +61,7 @@ from ..lp.master import RestrictedMasterLP
 from ..parallel import parallel_map
 from ..telemetry import SolveStats, emit_progress
 from .entities import AsIsState, DataCenter
-from .formulation import ModelOptions, placement_cost
+from .formulation import ModelOptions, placement_costs
 from .plan import TransformationPlan, evaluate_plan
 from .validation import validate_plan
 from .wan import inter_site_wan_price, undirected_peer_traffic
@@ -75,14 +75,14 @@ class DecompositionError(RuntimeError):
 class DecompositionConfig:
     """Engine knobs, all with scale-tested defaults.
 
-    ``jobs`` is the process fan-out for both the cost-matrix build and
-    the per-round pricing; ``<= 1`` keeps everything in-process (the
-    pricing oracle is vectorized, so serial is already fast for small
-    estates).  ``smoothing`` is the Wentges weight toward the current
-    master duals (1.0 disables stabilization).  ``coordination`` picks
-    the dual coordinator: ``"master"`` (restricted master LP),
-    ``"subgradient"``, or ``"auto"`` (master up to
-    ``master_group_limit`` groups).
+    ``jobs`` is the process fan-out of the per-round pricing only (the
+    cost matrix is one in-process array pass); ``<= 1`` keeps pricing
+    in-process too (the pricing oracle is vectorized, so serial is
+    already fast for small estates).  ``smoothing`` is the Wentges
+    weight toward the current master duals (1.0 disables
+    stabilization).  ``coordination`` picks the dual coordinator:
+    ``"master"`` (restricted master LP), ``"subgradient"``, or
+    ``"auto"`` (master up to ``master_group_limit`` groups).
     """
 
     max_rounds: int = 80
@@ -169,7 +169,7 @@ class GroupBlocks:
     servers: np.ndarray          # (G,) int
     target_names: list[str]
     capacities: np.ndarray       # (J,) float
-    #: Raw :func:`placement_cost` per (group, target) — everything but
+    #: Raw :func:`placement_costs` per (group, target) — everything but
     #: space; ``inf`` marks ineligible pairs.
     placement: np.ndarray        # (G, J) float
     #: ``placement`` plus the linear space rate times the group's servers.
@@ -178,14 +178,14 @@ class GroupBlocks:
     space_rate: np.ndarray       # (J,) float
     #: Exact step-priced space(+fixed) schedule of every site.
     space: SiteSpace
-    #: Per site: candidate ``(loads, exact space+fixed costs)`` arrays —
-    #: the segment endpoints of the all-units schedule plus the unused
-    #: point ``(0, 0)``.  Because the exact cost is linear on every
-    #: segment, minimizing over these points solves the site-side
-    #: Lagrangian subproblem exactly.
-    space_points: list[tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=list
-    )
+    #: Row ``j``: site ``j``'s candidate loads and their exact
+    #: space+fixed costs — the unused point ``(0, 0)``, then the segment
+    #: endpoints of the all-units schedule, padded with load 0 at cost
+    #: ``inf``.  Because the exact cost is linear on every segment,
+    #: minimizing over these points solves the site-side Lagrangian
+    #: subproblem exactly.
+    point_loads: np.ndarray      # (J, P) float
+    point_costs: np.ndarray      # (J, P) float
 
     @property
     def n_groups(self) -> int:
@@ -210,7 +210,7 @@ class DecompositionOutcome:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-# -- group-block extraction (parallel cost-matrix build) -------------------
+# -- group-block extraction (one array pass) --------------------------------
 
 
 def _space_rate(space: SiteSpace, capacities: np.ndarray) -> np.ndarray:
@@ -226,57 +226,41 @@ def _space_rate(space: SiteSpace, capacities: np.ndarray) -> np.ndarray:
     return np.where(space.fixed > 0, rate + space.fixed / capacities, rate)
 
 
-def _site_points(space: SiteSpace, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate ``(load, exact space+fixed cost)`` points for site ``j``.
+def _site_points(space: SiteSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate ``(load, exact space+fixed cost)`` points of every site.
 
     All-units pricing makes the exact cost linear in the load on every
     tier segment (``unit_price * q``, plus the fixed facility charge
     whenever the site is used), so ``min_q (S(q) - sigma q)`` over the
-    whole ``[0, capacity]`` range is attained at one of these points:
-    each tier's two ends, plus the unused point ``(0, 0)``.
+    whole ``[0, capacity]`` range is attained at one of site ``j``'s
+    points in row ``j``: the unused point ``(0, 0)``, then each tier's
+    two ends.  Columns past a site's last tier hold load 0 at cost
+    ``inf``, which no minimum picks.  Returns ``(loads, costs)``, (J, P).
     """
-    tiers = np.isfinite(space.lower[j])
-    ends = np.column_stack(
-        (np.maximum(space.lower[j, tiers], 1.0), space.upper[j, tiers])
-    ).ravel()
-    costs = np.repeat(space.price[j, tiers], 2) * ends + space.fixed[j]
-    return np.concatenate(([0.0], ends)), np.concatenate(([0.0], costs))
-
-
-def _cost_rows(payload) -> np.ndarray:
-    """Worker: placement-cost rows for one chunk of groups (picklable)."""
-    state, group_indices, wan_model = payload
-    targets = state.target_datacenters
-    rows = np.full((len(group_indices), len(targets)), np.inf)
-    for r, gi in enumerate(group_indices):
-        group = state.app_groups[gi]
-        for j, dc in enumerate(targets):
-            if state.placeable(group, dc):
-                rows[r, j] = placement_cost(state, group, dc, wan_model=wan_model)
-    return rows
+    n_targets = space.lower.shape[0]
+    ends = np.stack(
+        (np.maximum(space.lower, 1.0), space.upper), axis=2
+    ).reshape(n_targets, -1)
+    costs = np.repeat(space.price, 2, axis=1) * ends + space.fixed[:, None]
+    tiers = np.repeat(np.isfinite(space.lower), 2, axis=1)
+    unused = np.zeros((n_targets, 1))
+    return (
+        np.hstack((unused, np.where(tiers, ends, 0.0))),
+        np.hstack((unused, np.where(tiers, costs, np.inf))),
+    )
 
 
 def extract_group_blocks(
-    state: AsIsState,
-    options: ModelOptions | None = None,
-    jobs: int = 1,
+    state: AsIsState, options: ModelOptions | None = None
 ) -> GroupBlocks:
-    """Price every (group, target) block, fanning chunks across workers."""
+    """Price every (group, target) block in one array pass."""
     options = options or ModelOptions()
     targets = state.target_datacenters
     capacities = np.array([float(dc.capacity) for dc in targets])
     space = SiteSpace.build(targets, options)
     space_rate = _space_rate(space, capacities)
     servers = np.array([g.servers for g in state.app_groups], dtype=np.int64)
-    n_groups = len(state.app_groups)
-
-    n_chunks = min(max(1, jobs) * 4, n_groups) if jobs > 1 else 1
-    chunks = np.array_split(np.arange(n_groups), n_chunks)
-    payloads = [
-        (state, chunk.tolist(), options.wan_model) for chunk in chunks if len(chunk)
-    ]
-    rows = parallel_map(_cost_rows, payloads, jobs=jobs)
-    placement = np.vstack(rows) if rows else np.zeros((0, len(targets)))
+    placement = placement_costs(state, options.wan_model)
     cost = placement + space_rate[None, :] * servers[:, None]
 
     infeasible = np.isinf(cost).all(axis=1)
@@ -287,6 +271,7 @@ def extract_group_blocks(
             "target data center; split it first or relax its placement "
             "constraints"
         )
+    point_loads, point_costs = _site_points(space)
     return GroupBlocks(
         group_names=[g.name for g in state.app_groups],
         servers=servers,
@@ -296,7 +281,8 @@ def extract_group_blocks(
         cost=cost,
         space_rate=space_rate,
         space=space,
-        space_points=[_site_points(space, j) for j in range(len(targets))],
+        point_loads=point_loads,
+        point_costs=point_costs,
     )
 
 
@@ -326,17 +312,19 @@ def _site_terms(
     ``sigma_j = space_rate_j - pi_j`` (the linear space rate folded
     into ``cost`` moves back site-side), each site contributes
     ``min_q (S_j(q) - sigma_j q)`` over ``q in [0, capacity_j]`` —
-    computed exactly over the precomputed segment-endpoint candidates.
+    computed exactly over the precomputed segment-endpoint candidates,
+    one row-wise argmin for all sites.  The minima are summed in site
+    order as Python floats, which a NumPy reduction would not reproduce
+    bit for bit.
     """
     sigma = blocks.space_rate - pi
+    values = blocks.point_costs - sigma[:, None] * blocks.point_loads
+    sites = np.arange(blocks.n_targets)
+    best = np.argmin(values, axis=1)
     total = 0.0
-    qstar = np.zeros(blocks.n_targets)
-    for j, (loads, costs) in enumerate(blocks.space_points):
-        values = costs - sigma[j] * loads
-        k = int(np.argmin(values))
-        total += float(values[k])
-        qstar[j] = loads[k]
-    return total, qstar
+    for value in values[sites, best].tolist():
+        total += value
+    return total, blocks.point_loads[sites, best]
 
 
 def _price_all(
@@ -376,23 +364,30 @@ def _price_all(
 
 def model_objective(
     state: AsIsState,
+    blocks: GroupBlocks,
     placement: dict[str, str],
     options: ModelOptions | None = None,
 ) -> float:
     """Exact MILP objective of an integral placement (no DR terms).
 
     Matches what the monolithic model charges the same placement:
-    per-placement costs, exact (step-priced) space, fixed facility
-    costs of used sites, and peer-split WAN.
+    per-placement costs (read from ``blocks.placement``, so a group on
+    an ineligible site costs ``inf``), exact (step-priced) space, fixed
+    facility costs of used sites, and peer-split WAN.
     """
     options = options or ModelOptions()
     targets = {dc.name: dc for dc in state.target_datacenters}
+    tindex = {name: j for j, name in enumerate(blocks.target_names)}
+    sites = np.array(
+        [tindex[placement[name]] for name in blocks.group_names], dtype=np.int64
+    )
+    placed = blocks.placement[np.arange(len(sites)), sites].tolist()
     loads: dict[str, int] = {}
     total = 0.0
-    for group in state.app_groups:
-        dc = targets[placement[group.name]]
-        total += placement_cost(state, group, dc, wan_model=options.wan_model)
-        loads[dc.name] = loads.get(dc.name, 0) + group.servers
+    for group, cost in zip(state.app_groups, placed):
+        total += cost
+        name = placement[group.name]
+        loads[name] = loads.get(name, 0) + group.servers
     for name, load in loads.items():
         if load <= 0:
             continue
@@ -713,7 +708,7 @@ def solve_decomposition(
     start = time.monotonic()
     deadline = start + config.time_limit if config.time_limit else None
 
-    blocks = extract_group_blocks(state, options, jobs=config.jobs)
+    blocks = extract_group_blocks(state, options)
 
     coordination = config.coordination
     if coordination == "auto":
@@ -726,7 +721,7 @@ def solve_decomposition(
     # Polyak target and every path a feasible incumbent early.
     placement0 = _round_placement(state, blocks, None, np.zeros(blocks.n_targets))
     upper0 = (
-        model_objective(state, placement0, options)
+        model_objective(state, blocks, placement0, options)
         if placement0 is not None
         else math.inf
     )
@@ -754,11 +749,15 @@ def solve_decomposition(
     rounded = _round_placement(state, blocks, support, pi)
     candidates: list[tuple[float, dict[str, str]]] = []
     if rounded is not None:
-        candidates.append((model_objective(state, rounded, options), rounded))
+        candidates.append(
+            (model_objective(state, blocks, rounded, options), rounded)
+        )
         # The local pass is blind to peer-split costs, so keep the
         # pre-improvement rounding as a candidate too.
         improved = _improve_placement(state, blocks, dict(rounded))
-        candidates.append((model_objective(state, improved, options), improved))
+        candidates.append(
+            (model_objective(state, blocks, improved, options), improved)
+        )
     if placement0 is not None:
         candidates.append((upper0, placement0))
     if not candidates:

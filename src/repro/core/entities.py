@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .costs import StepCostFunction
 from .latency import LatencyPenaltyFunction, NO_PENALTY
 
@@ -300,6 +302,26 @@ class AsIsState:
         if group.allowed_regions is not None and dc.region not in group.allowed_regions:
             return False
         return True
+
+    def placeable_mask(self) -> np.ndarray:
+        """:meth:`placeable` for every (group, target) pair: (G, J) bool."""
+        targets = self.target_datacenters
+        capacity = np.array([dc.capacity for dc in targets])
+        mask = np.array([g.servers for g in self.app_groups])[:, None] <= capacity
+        site_index = {dc.name: j for j, dc in enumerate(targets)}
+        region_masks: dict[frozenset[str], np.ndarray] = {}
+        for gi, group in enumerate(self.app_groups):
+            for name in group.forbidden_datacenters:
+                if name in site_index:
+                    mask[gi, site_index[name]] = False
+            if group.allowed_regions is not None:
+                allowed = frozenset(group.allowed_regions)
+                if allowed not in region_masks:
+                    region_masks[allowed] = np.array(
+                        [dc.region in allowed for dc in targets], dtype=bool
+                    )
+                mask[gi] &= region_masks[allowed]
+        return mask
 
 
 def groups_by_risk(groups: Iterable[ApplicationGroup]) -> dict[str, list[ApplicationGroup]]:

@@ -18,44 +18,146 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..lp import Problem, Variable, VarType, quicksum
 from ..lp.expressions import LinExpr
 from ..lp.solution import Solution
 from .entities import ApplicationGroup, AsIsState, DataCenter, groups_by_risk
-from .wan import inter_site_wan_price, undirected_peer_traffic, wan_cost
+from .wan import inter_site_wan_price, undirected_peer_traffic
 
 
 class InfeasibleModelError(ValueError):
     """Raised when the as-is state admits no feasible plan at all."""
 
 
-def placement_cost(
-    state: AsIsState,
-    group: ApplicationGroup,
-    dc: DataCenter,
-    *,
-    wan_model: str = "metered",
-) -> float:
-    """Per-placement objective coefficient (everything but space scale).
+def placement_costs(state: AsIsState, wan_model: str = "metered") -> np.ndarray:
+    """Per-placement objective coefficients of every (group, target) pair.
 
-    Covers power, labor, WAN and the latency penalty :math:`L_{ij}`;
-    space enters separately (through the shared step-cost block in the
-    monolithic MILP, or the per-site space rate in the decomposition
-    engine) so volume discounts apply across groups.  Module-level so
-    the decomposition engine can price group blocks without building
-    the full :class:`ConsolidationModel`.
+    Row ``g``, column ``j`` is the coefficient of :math:`X_{gj}`: power,
+    labor, WAN and the latency penalty :math:`L_{gj}`, everything but
+    space, which enters separately (through the shared step-cost block in
+    the monolithic MILP, or the per-site space rate in the decomposition
+    engine) so volume discounts apply across groups.  Pairs that
+    :meth:`AsIsState.placeable` rejects are ``inf``.
+
+    Each entry repeats the float operations of the historical per-pair
+    scalar (kept as ``tests/oracles/placement.py``) in the same order,
+    vectorized across groups and sites and looped over each group's
+    user-location slots, so it is bit-identical to it.  The errors are
+    the scalar's too, raised for the first placeable pair in row-major
+    order that hits one: a missing VPN link price, then a missing latency
+    figure, then a negative mean latency.
     """
     params = state.params
-    power_labor = group.servers * (
+    groups, targets = state.app_groups, state.target_datacenters
+    shape = (len(groups), len(targets))
+    placeable = state.placeable_mask()
+    if wan_model not in ("metered", "vpn") and placeable.any():
+        raise ValueError(f"unknown WAN cost model {wan_model!r}")
+
+    servers = np.array([g.servers for g in groups], dtype=float)
+    site_rate = np.array([
         params.server_power_kw * dc.power_cost_per_kw
         + dc.labor_cost_per_admin / params.servers_per_admin
-    )
-    wan = wan_cost(group, dc, params, model=wan_model)
-    latency = 0.0
-    if group.total_users > 0:
-        mean_latency = group.mean_latency(dc.latency_to_users)
-        latency = group.latency_penalty.total_penalty(mean_latency, group.total_users)
-    return power_labor + wan + latency
+        for dc in targets
+    ])
+    power_labor = servers[:, None] * site_rate
+
+    # One slot per (group, user location with a non-zero count), in the
+    # group's ``users`` order; padded slots have ``valid`` False.
+    users = np.array([g.total_users for g in groups], dtype=float)
+    slots = [[(loc, n) for loc, n in g.users.items() if n != 0] for g in groups]
+    locations: dict[str, int] = {}
+    n_slots = max((len(row) for row in slots), default=0)
+    count = np.zeros((len(groups), n_slots))
+    loc_index = np.zeros((len(groups), n_slots), dtype=np.int64)
+    valid = np.zeros((len(groups), n_slots), dtype=bool)
+    for gi, row in enumerate(slots):
+        for k, (loc, n) in enumerate(row):
+            count[gi, k] = n
+            loc_index[gi, k] = locations.setdefault(loc, len(locations))
+            valid[gi, k] = True
+
+    def slot_sum(weight: np.ndarray, live: np.ndarray, table: str):
+        """``Σ_k weight[g, k] * dc.<table>[location k]`` over live slots,
+        accumulated slot by slot, and which pairs miss a live figure."""
+        figures = np.full((len(locations), len(targets)), np.nan)
+        known = np.zeros(figures.shape, dtype=bool)
+        for j, dc in enumerate(targets):
+            row = getattr(dc, table)
+            for loc, li in locations.items():
+                if loc in row:
+                    figures[li, j] = row[loc]
+                    known[li, j] = True
+        total = np.zeros(shape)
+        missing = np.zeros(shape, dtype=bool)
+        for k in range(n_slots):
+            on = live[:, k, None]
+            term = weight[:, k, None] * figures[loc_index[:, k]]
+            total = np.where(on, total + term, total)
+            missing |= on & ~known[loc_index[:, k]]
+        return total, missing
+
+    latency_sum, latency_missing = slot_sum(count, valid, "latency_to_users")
+    data_mb = np.array([g.monthly_data_mb for g in groups], dtype=float)
+    if wan_model == "vpn":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            links = count / users[:, None] * data_mb[:, None]
+        links = links / params.vpn_link_capacity_mb
+        linked = valid & (links != 0.0)
+        wan, price_missing = slot_sum(links, linked, "vpn_link_cost")
+    else:
+        wan_rate = np.array([dc.wan_cost_per_mb for dc in targets], dtype=float)
+        wan = data_mb[:, None] * wan_rate
+        price_missing = np.zeros(shape, dtype=bool)
+
+    # Groups without users pay no latency penalty and never look one up.
+    has_users = users > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = latency_sum / users[:, None]
+    negative = has_users[:, None] & (mean < 0)
+    latency_missing &= has_users[:, None]
+    faults = placeable & (price_missing | latency_missing | negative)
+    if faults.any():
+        gi, j = np.unravel_index(int(np.argmax(faults)), shape)
+        group, dc = groups[gi], targets[j]
+        if price_missing[gi, j]:
+            loc = next(
+                loc for (loc, _), on in zip(slots[gi], linked[gi])
+                if on and loc not in dc.vpn_link_cost
+            )
+            raise KeyError(
+                f"data center {dc.name!r} has no VPN link price for "
+                f"user location {loc!r}"
+            )
+        if latency_missing[gi, j]:
+            loc = next(
+                loc for loc, _ in slots[gi] if loc not in dc.latency_to_users
+            )
+            raise KeyError(
+                f"group {group.name!r} has users at {loc!r} but no latency "
+                "figure for that location was provided"
+            )
+        raise ValueError("latency cannot be negative")
+
+    # The penalty of the highest threshold the mean latency exceeds,
+    # times the users; one pass per distinct penalty function.
+    latency = np.zeros(shape)
+    rows_of: dict[object, list[int]] = {}
+    for gi, group in enumerate(groups):
+        if has_users[gi]:
+            rows_of.setdefault(group.latency_penalty, []).append(gi)
+    for penalty, rows in rows_of.items():
+        rows = np.array(rows)
+        per_user = np.zeros((len(rows), len(targets)))
+        for step in penalty.steps:
+            per_user = np.where(
+                mean[rows] > step.threshold_ms, step.penalty_per_user, per_user
+            )
+        latency[rows] = per_user * users[rows, None]
+
+    return np.where(placeable, (power_labor + wan) + latency, np.inf)
 
 
 @dataclass
@@ -125,33 +227,33 @@ class ConsolidationModel:
         self._build()
 
     # -- construction ----------------------------------------------------
-    def _eligible_targets(self, group: ApplicationGroup) -> list[DataCenter]:
-        eligible = [dc for dc in self.state.target_datacenters if self.state.placeable(group, dc)]
-        if not eligible:
-            raise InfeasibleModelError(
-                f"application group {group.name!r} ({group.servers} servers) fits no "
-                "target data center; split it first (cf. paper's reference [3]) or "
-                "relax its placement constraints"
-            )
-        return eligible
-
     def placement_cost(self, group: ApplicationGroup, dc: DataCenter) -> float:
-        """Per-placement objective coefficient; see the module-level
-        :func:`placement_cost` this delegates to."""
-        return placement_cost(
-            self.state, group, dc, wan_model=self.options.wan_model
-        )
+        """Objective coefficient of ``X[group, dc]`` (eligible pairs only),
+        as :func:`placement_costs` priced it."""
+        return self._placement_cost[(group.name, dc.name)]
 
     def _build(self) -> None:
         state = self.state
         prob = self.problem
 
         # Primary assignment binaries, skipping statically impossible pairs.
-        for group in state.app_groups:
-            for dc in self._eligible_targets(group):
+        targets = state.target_datacenters
+        costs = placement_costs(state, self.options.wan_model).tolist()
+        for group, row, placeable in zip(
+            state.app_groups, costs, state.placeable_mask().tolist()
+        ):
+            eligible = [j for j, ok in enumerate(placeable) if ok]
+            if not eligible:
+                raise InfeasibleModelError(
+                    f"application group {group.name!r} ({group.servers} servers) "
+                    "fits no target data center; split it first (cf. paper's "
+                    "reference [3]) or relax its placement constraints"
+                )
+            for j in eligible:
+                dc = targets[j]
                 var = prob.add_binary(f"X[{group.name},{dc.name}]")
                 self.x[(group.name, dc.name)] = var
-                self._placement_cost[(group.name, dc.name)] = self.placement_cost(group, dc)
+                self._placement_cost[(group.name, dc.name)] = row[j]
 
         # Constraint 1: every group gets exactly one primary site.
         for group in state.app_groups:

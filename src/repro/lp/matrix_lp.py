@@ -351,12 +351,21 @@ class RelaxationContext:
         shrinks the feasible set, so each root reduction derived without
         it still holds — and pooled basis inverses are re-keyed under
         their extended bases via the bordered identity (one ``k × m``
-        matmul each) instead of being discarded.
+        matmul each) instead of being discarded.  The bound box is then
+        re-propagated over the extended rows (:meth:`_presolve_extension`).
         """
+        if self._append_rows(a_new, b_new):
+            start = time.perf_counter()
+            self._presolve_extension()
+            self.conversion_seconds += time.perf_counter() - start
+
+    def _append_rows(self, a_new: CSCMatrix, b_new: np.ndarray) -> bool:
+        """Append ``<=`` rows in place (see :meth:`extend_rows`), without
+        re-propagating bounds; ``False`` when there was nothing to append."""
         k = a_new.shape[0]
         b_new = np.asarray(b_new, dtype=float).reshape(k)
         if k == 0:
-            return
+            return False
         start = time.perf_counter()
         was_alias = self._eff_a_ub is self.a_ub
         self.a_ub = CSCMatrix.vstack(self.a_ub, a_new)
@@ -391,8 +400,8 @@ class RelaxationContext:
                     repooled[basis_ext.tobytes()] = binv_ext
             self._factor_pool = repooled
             self._dual_entry_after_extension = True
-        self._presolve_extension()
         self.conversion_seconds += time.perf_counter() - start
+        return True
 
     def add_cut_rows(
         self, a: CSCMatrix, b: np.ndarray, lb: np.ndarray, ub: np.ndarray
@@ -405,8 +414,13 @@ class RelaxationContext:
         0/1 and which have ``lb ≥ 0``.  Both are recorded here, so a
         context that outlives its tree can tell (:meth:`cuts_hold`)
         when a later box no longer supports the rows it holds.
+
+        Unlike :meth:`extend_rows`, no bound re-propagation follows.
+        Skipping a presolve is always sound, and after root cut rounds
+        it costs a full activity pass per round while tightening
+        nothing on the consolidation models.
         """
-        self.extend_rows(a, b)
+        self._append_rows(a, b)
         self._cut_binary |= binary_mask(self._integrality, lb, ub)
         self._cut_nonneg |= nonnegative_mask(lb)
 

@@ -166,6 +166,31 @@ class TestExtensionPresolve:
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_cut_rows_skip_the_extension_presolve(self):
+        # The row that tightens x to 0 as a directive (above) appended as
+        # a cut: no presolve round runs and the box stays as it was, but
+        # the row itself still binds.
+        kw = arrays()
+        directive, cut = (
+            RelaxationContext(
+                engine="builtin", integrality=np.ones(3, dtype=bool), **kw
+            )
+            for _ in range(2)
+        )
+        row = CSCMatrix.from_dense([[1.0, 0.0, 0.0]])
+        rounds = cut.presolve_rounds
+        tightened = cut.presolve_bounds_tightened
+        directive.extend_rows(row, np.array([0.4]))
+        cut.add_cut_rows(row, np.array([0.4]), kw["lb"], kw["ub"])
+        assert directive.presolve_rounds > rounds
+        assert cut.presolve_rounds == rounds
+        assert cut.presolve_bounds_tightened == tightened
+        assert cut._eff_ub[0] == kw["ub"][0]
+        assert cut.row_extensions == 1
+        res = cut.solve()
+        assert res.status == "optimal"
+        assert res.x[0] <= 0.4 + 1e-9
+
     def test_infeasible_append_detected_at_extension_time(self):
         kw = arrays()
         ctx = RelaxationContext(engine="builtin", **kw)

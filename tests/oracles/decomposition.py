@@ -15,7 +15,9 @@ import numpy as np
 
 from repro.core.decomposition import GroupBlocks
 from repro.core.entities import AsIsState, DataCenter
-from repro.core.formulation import ModelOptions, placement_cost
+from repro.core.formulation import ModelOptions
+
+from tests.oracles.placement import placement_cost
 
 
 class ScalarRounder:
