@@ -66,7 +66,7 @@ def placement_costs(state: AsIsState, wan_model: str = "metered") -> np.ndarray:
 
     # One slot per (group, user location with a non-zero count), in the
     # group's ``users`` order; padded slots have ``valid`` False.
-    users = np.array([g.total_users for g in groups], dtype=float)
+    total_users = np.array([g.total_users for g in groups], dtype=float)
     slots = [[(loc, n) for loc, n in g.users.items() if n != 0] for g in groups]
     locations: dict[str, int] = {}
     n_slots = max((len(row) for row in slots), default=0)
@@ -103,7 +103,7 @@ def placement_costs(state: AsIsState, wan_model: str = "metered") -> np.ndarray:
     data_mb = np.array([g.monthly_data_mb for g in groups], dtype=float)
     if wan_model == "vpn":
         with np.errstate(divide="ignore", invalid="ignore"):
-            links = count / users[:, None] * data_mb[:, None]
+            links = count / total_users[:, None] * data_mb[:, None]
         links = links / params.vpn_link_capacity_mb
         linked = valid & (links != 0.0)
         wan, price_missing = slot_sum(links, linked, "vpn_link_cost")
@@ -113,9 +113,9 @@ def placement_costs(state: AsIsState, wan_model: str = "metered") -> np.ndarray:
         price_missing = np.zeros(shape, dtype=bool)
 
     # Groups without users pay no latency penalty and never look one up.
-    has_users = users > 0
+    has_users = total_users > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = latency_sum / users[:, None]
+        mean = latency_sum / total_users[:, None]
     negative = has_users[:, None] & (mean < 0)
     latency_missing &= has_users[:, None]
     faults = placeable & (price_missing | latency_missing | negative)
@@ -155,7 +155,7 @@ def placement_costs(state: AsIsState, wan_model: str = "metered") -> np.ndarray:
             per_user = np.where(
                 mean[rows] > step.threshold_ms, step.penalty_per_user, per_user
             )
-        latency[rows] = per_user * users[rows, None]
+        latency[rows] = per_user * total_users[rows, None]
 
     return np.where(placeable, (power_labor + wan) + latency, np.inf)
 
