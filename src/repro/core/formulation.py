@@ -237,8 +237,12 @@ class ConsolidationModel:
         prob = self.problem
 
         # Primary assignment binaries, skipping statically impossible pairs.
+        # Each group's X (in target order) and each site's X (in group
+        # order) are gathered here for the assign and impact rows.
         targets = state.target_datacenters
         costs = placement_costs(state, self.options.wan_model).tolist()
+        group_vars: list[list[Variable]] = []
+        site_vars: list[list[Variable]] = [[] for _ in targets]
         for group, row, placeable in zip(
             state.app_groups, costs, state.placeable_mask().tolist()
         ):
@@ -249,15 +253,18 @@ class ConsolidationModel:
                     "fits no target data center; split it first (cf. paper's "
                     "reference [3]) or relax its placement constraints"
                 )
+            vars_i = []
             for j in eligible:
                 dc = targets[j]
                 var = prob.add_binary(f"X[{group.name},{dc.name}]")
                 self.x[(group.name, dc.name)] = var
                 self._placement_cost[(group.name, dc.name)] = row[j]
+                vars_i.append(var)
+                site_vars[j].append(var)
+            group_vars.append(vars_i)
 
         # Constraint 1: every group gets exactly one primary site.
-        for group in state.app_groups:
-            vars_i = [v for (g, _), v in self.x.items() if g == group.name]
+        for group, vars_i in zip(state.app_groups, group_vars):
             prob.add_constraint(quicksum(vars_i) == 1, f"assign[{group.name}]")
 
         if self.options.enable_dr:
@@ -302,8 +309,7 @@ class ConsolidationModel:
         omega = state.params.business_impact
         if omega < 1.0:
             cap = omega * len(state.app_groups)
-            for dc in state.target_datacenters:
-                vars_j = [v for (_, d), v in self.x.items() if d == dc.name]
+            for dc, vars_j in zip(targets, site_vars):
                 if vars_j:
                     prob.add_constraint(quicksum(vars_j) <= cap, f"impact[{dc.name}]")
 

@@ -43,6 +43,8 @@ def render_solve_stats(stats: SolveStats) -> str:
         "  dual re-solves (entry / fall)  "
         f"{stats.dual_entries} / {stats.dual_fallbacks}",
         f"    dual pivots                  {stats.dual_pivots}",
+        "  max residual (primal / dual)   "
+        f"{stats.max_primal_residual:.2e} / {stats.max_dual_residual:.2e}",
         "  context extended / hint fixed  "
         f"{stats.context_extended} / {stats.hint_repaired} "
         f"({stats.hint_repair_seconds:.3f} s repairing)",

@@ -89,6 +89,8 @@ def _absorb_lp_detail(stats: SolveStats, relax) -> None:
     stats.pricing_passes += getattr(relax, "pricing_passes", 0)
     stats.bound_flips += getattr(relax, "bound_flips", 0)
     stats.dual_pivots += getattr(relax, "dual_pivots", 0)
+    stats.max_primal_residual = max(stats.max_primal_residual, relax.primal_residual)
+    stats.max_dual_residual = max(stats.max_dual_residual, relax.dual_residual)
     stats.relaxation_solve_seconds += relax.solve_seconds
 
 

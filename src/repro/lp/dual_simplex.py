@@ -13,8 +13,9 @@ Farkas certificate and the solve stops immediately.
 
 Shared machinery: this solver subclasses the primal
 :class:`~repro.lp.revised_simplex._Solver`, reusing the CSC column
-FTRAN/BTRAN kernel, the LU factorization + compact product-form
-updates (one shared pivot update), and the warm-start validation.  What it adds:
+FTRAN/BTRAN kernel, the dense explicit basis inverse
+(``numpy.linalg.inv``) with compact product-form updates (one shared
+pivot update), and the warm-start validation.  What it adds:
 
 * **Devex row pricing.**  The leaving row maximizes
   ``violation^2 / w`` over reference weights updated Forrest–Goldfarb
@@ -26,13 +27,31 @@ updates (one shared pivot update), and the warm-start validation.  What it adds:
   leaving row's violation before the blocking column finally pivots in.
   Exhausting every breakpoint with violation left over proves the LP
   infeasible.
+* **Carried reduced costs.**  The walk prices once at entry and then
+  updates the reduced costs by the pivot row it already holds
+  (``d -= t_q * row``, basic entries zeroed); it prices afresh only
+  after a refactorization.
+* **Fold-and-residual gate.**  An optimal walk with ``k`` updates
+  pending folds them into a new explicit inverse (``binv + U V^T``,
+  O(k m^2)) instead of refactorizing (O(m^3)) and recomputes ``x_B``
+  through it.  The inverse's *age* (updates folded in since its last
+  factorization) travels with it through the caller's factor pool; a
+  true refactorization happens when the age would reach
+  :data:`~repro.lp.revised_simplex.REFACTOR_INTERVAL` and on every
+  retry.  Besides the bound and fresh dual-feasibility checks, an
+  optimum reached through an aged inverse is accepted only when its
+  primal and dual residuals, computed from the sparse columns rather
+  than through the inverse, are within
+  :data:`~repro.lp.revised_simplex.RESIDUAL_TOL`; otherwise the solver
+  refactors and walks again.  The duals and the inverse an optimum
+  hands on are therefore checked, not assumed.
 * **Warm-only entry.**  Without a valid ``(basis, vstat)`` token the
   solver refuses (``dual_lost``) and the caller uses the primal engine;
   reduced-cost sign violations at entry are repaired by bound flips
   when the opposite bound is finite, else the solve reports
   ``dual_infeasible`` and again falls back.  An optional cached basis
-  inverse (keyed by the basis, see the caller's factor pool) skips the
-  O(m^3) entry refactorization entirely.
+  inverse (keyed by the basis, see the caller's factor pool) and its
+  age skip the O(m^3) entry refactorization entirely.
 * **Slack-basis roots.**  The all-slack pair
   (:func:`~repro.lp.revised_simplex.slack_basis`) is a valid token like
   any other, and with the identity as its inverse the entry costs no
@@ -63,6 +82,8 @@ from .revised_simplex import (
     FEAS_TOL,
     FREE,
     PIV_TOL,
+    REFACTOR_INTERVAL,
+    RESIDUAL_TOL,
     RevisedResult,
     SparseBoundedLP,
     _Solver,
@@ -95,10 +116,16 @@ class _DualSolver(_Solver):
         max_iterations: int,
         warm: tuple[np.ndarray, np.ndarray] | None,
         binv: np.ndarray | None = None,
+        binv_age: int = 0,
     ) -> None:
         super().__init__(lp, lb, ub, max_iterations, warm)
         self._binv_hint = binv
+        self._binv_hint_age = binv_age
         self.dual_pivots = 0
+        #: Reduced costs the walk carries from pivot to pivot, and the
+        #: refactorization count they were last priced afresh at.
+        self.dj = np.zeros(0)
+        self._priced_at = -1
 
     # -- entry -------------------------------------------------------------
 
@@ -119,9 +146,11 @@ class _DualSolver(_Solver):
         self._k = 0
         hint = self._binv_hint
         if hint is not None and hint.shape == (self.m, self.m):
-            # The basis fully determines B, so a pool hit is exact; it is
-            # only ever *replaced* (never mutated) by a refactorization.
+            # The basis fully determines B, so a pool hit is B's inverse
+            # up to the drift of its folded updates (its age); it is only
+            # ever *replaced* (never mutated) by a fold or a refactorization.
             self.binv = hint
+            self._age = self._binv_hint_age
         elif not self._refactor():
             return False
         self._normalize_nonbasic()
@@ -129,14 +158,21 @@ class _DualSolver(_Solver):
         return True
 
     def _reduced_costs(self) -> np.ndarray:
+        """Fresh reduced costs (one BTRAN, one ``rmatvec``), basics zeroed."""
         y = self._btran(self._cvec[self.basis])
         d = self._reduced_block(y, self._cvec, 0, self.N)
         d[self.basis] = 0.0
         return d
 
+    def _set_dj(self, d: np.ndarray) -> None:
+        """Adopt freshly priced reduced costs as the walk's carried ones."""
+        self.dj = d
+        self._priced_at = self.refactorizations
+
     def _dual_normalize(self) -> bool:
         """Repair entry reduced-cost signs by bound flips; False if stuck."""
         d = self._reduced_costs()
+        self._set_dj(d)  # bound flips leave reduced costs unchanged
         live = (self.vstat != BASIC) & ~self._fixed
         low_bad = live & (self.vstat == AT_LOWER) & (d < -ENTRY_DUAL_TOL)
         up_bad = live & (self.vstat == AT_UPPER) & (d > ENTRY_DUAL_TOL)
@@ -154,8 +190,8 @@ class _DualSolver(_Solver):
             self._compute_xb()
         return True
 
-    def _dual_violation(self) -> float:
-        d = self._reduced_costs()
+    def _dual_violation(self, d: np.ndarray) -> float:
+        """Worst reduced-cost sign violation among the live nonbasics."""
         live = (self.vstat != BASIC) & ~self._fixed
         worst = 0.0
         low = live & (self.vstat == AT_LOWER)
@@ -225,7 +261,9 @@ class _DualSolver(_Solver):
             e[r] = 1.0
             rho = self._btran(e)
             atil = sigma * self._pivot_row(rho)
-            d = self._reduced_costs()
+            if self._priced_at != self.refactorizations:
+                self._set_dj(self._reduced_costs())
+            d = self.dj
             self.pricing_passes += 1
 
             elig = (
@@ -311,6 +349,11 @@ class _DualSolver(_Solver):
             if not self._update_basis(r, q, alpha):
                 return "error"
 
+            # Carry the reduced costs across the pivot along its row; the
+            # leaving column takes ``-t_q * sigma`` and the entering one 0.
+            d -= tq * atil
+            d[self.basis] = 0.0
+
             # Forrest–Goldfarb devex update over the pivot column.
             ref = w[r] / (ar * ar)
             np.maximum(w, alpha * alpha * ref, out=w)
@@ -342,22 +385,42 @@ class _DualSolver(_Solver):
         self.warm_started = True
         if not self._dual_normalize():
             return self._result("dual_infeasible")
-        for _attempt in range(4):
+        for attempt in range(4):
             status = self._dual_loop()
             if status != "optimal":
                 return self._result(status)
-            # Accuracy gate, mirroring the primal driver: fold the
-            # pending updates into a fresh factorization and re-check
-            # both feasibilities before trusting the optimum.
-            if self._k:
-                if not self._refactor():
-                    return self._result("error")
-                self._compute_xb()
+            # Accuracy gate.  Pending updates fold into a new explicit
+            # inverse while its age stays under REFACTOR_INTERVAL; a
+            # retry, or an inverse that old, refactorizes instead.
+            if self._k or self._age:
+                if attempt or self._age + self._k >= REFACTOR_INTERVAL:
+                    if not self._refactor():
+                        return self._result("error")
+                    self._compute_xb()
+                elif self._k:
+                    self._fold()
+                    self._compute_xb()
+            d = self._measure()
+            self._set_dj(d)
             viol = np.maximum(
                 self.lower[self.basis] - self.xB, self.xB - self.upper[self.basis]
             )
-            if float(viol.max(initial=0.0)) <= 1e-6 and self._dual_violation() <= 1e-6:
+            accurate = self._age == 0 or (
+                self.primal_residual <= RESIDUAL_TOL
+                and self.dual_residual <= RESIDUAL_TOL
+            )
+            if (
+                float(viol.max(initial=0.0)) <= 1e-6
+                and self._dual_violation(d) <= 1e-6
+                and accurate
+            ):
                 return self._result("optimal")
+            if self._age:
+                # The aged inverse failed its check: walk again on a
+                # fresh factorization.
+                if not self._refactor():
+                    return self._result("error")
+                self._compute_xb()
         return self._result("dual_lost")
 
     def _result(self, status: str, x: np.ndarray | None = None) -> DualResult:
@@ -375,6 +438,7 @@ def solve_bounded_lp_dual(
     max_iterations: int = 20000,
     warm: tuple[np.ndarray, np.ndarray] | None = None,
     binv: np.ndarray | None = None,
+    binv_age: int = 0,
 ) -> DualResult:
     """Dual-simplex solve of one LP-family member from a warm token.
 
@@ -382,5 +446,9 @@ def solve_bounded_lp_dual(
     or numerical breakdown mid-walk) and ``dual_infeasible`` (the token
     is not reduced-cost feasible and bound flips cannot repair it).
     Both mean "use the primal engine"; neither is a verdict on the LP.
+    ``binv`` is a cached inverse of the token's basis and ``binv_age``
+    the updates folded into it since its last factorization.
     """
-    return _DualSolver(lp, lb, ub, max_iterations, warm, binv=binv).solve()
+    return _DualSolver(
+        lp, lb, ub, max_iterations, warm, binv=binv, binv_age=binv_age
+    ).solve()

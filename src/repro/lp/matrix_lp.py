@@ -37,8 +37,9 @@ from .revised_simplex import (
 )
 from .sparse import CSCMatrix
 
-#: Basis inverses remembered per context (keyed by the basis itself, so
-#: a hit is exact); bounds the pool's memory at ~48 m x m arrays.
+#: Basis inverses remembered per context, each with its age (keyed by
+#: the basis itself, so a hit inverts the right matrix); bounds the
+#: pool's memory at ~48 m x m arrays.
 _FACTOR_POOL_SIZE = 48
 
 #: Warm token that asks a builtin context to enter the dual simplex from
@@ -90,6 +91,10 @@ class ArrayLPResult:
     #: original ``a_ub`` rows, then ``a_eq``, then the appended rows.
     #: The two orders differ only after an append.
     duals: np.ndarray | None = None
+    #: Relative primal and dual residuals of a builtin optimum (see
+    #: :data:`~repro.lp.revised_simplex.RESIDUAL_TOL`); 0.0 otherwise.
+    primal_residual: float = 0.0
+    dual_residual: float = 0.0
 
 
 def _solve_highs_arrays(
@@ -233,7 +238,9 @@ class RelaxationContext:
         self._cut_binary = np.zeros(self.c.shape[0], dtype=bool)
         self._cut_nonneg = np.zeros(self.c.shape[0], dtype=bool)
 
-        self._factor_pool: dict[bytes, np.ndarray] = {}
+        #: basis bytes -> (inverse, age): the updates folded into the
+        #: inverse since its last factorization.
+        self._factor_pool: dict[bytes, tuple[np.ndarray, int]] = {}
         self._presolve_infeasible = False
         self._presolve_message = ""
         # Row keep-masks actually applied to the effective arrays; a
@@ -332,12 +339,12 @@ class RelaxationContext:
         )
         self.conversion_seconds += time.perf_counter() - start
 
-    def _remember_factor(self, basis: np.ndarray, binv: np.ndarray) -> None:
+    def _remember_factor(self, basis: np.ndarray, binv: np.ndarray, age: int) -> None:
         key = np.asarray(basis, dtype=np.int64).tobytes()
         pool = self._factor_pool
         if key not in pool and len(pool) >= _FACTOR_POOL_SIZE:
             pool.pop(next(iter(pool)))
-        pool[key] = binv
+        pool[key] = (binv, age)
 
     # -- in-place structural extension (appended rows, objective swap) -----
 
@@ -351,8 +358,9 @@ class RelaxationContext:
         shrinks the feasible set, so each root reduction derived without
         it still holds — and pooled basis inverses are re-keyed under
         their extended bases via the bordered identity (one ``k × m``
-        matmul each) instead of being discarded.  The bound box is then
-        re-propagated over the extended rows (:meth:`_presolve_extension`).
+        matmul each, exact, so each keeps its age) instead of being
+        discarded.  The bound box is then re-propagated over the
+        extended rows (:meth:`_presolve_extension`).
         """
         if self._append_rows(a_new, b_new):
             start = time.perf_counter()
@@ -389,15 +397,16 @@ class RelaxationContext:
                 self._family.n + self._family.m,
                 dtype=np.int64,
             )
-            repooled: dict[bytes, np.ndarray] = {}
-            for key, binv in self._factor_pool.items():
+            repooled: dict[bytes, tuple[np.ndarray, int]] = {}
+            for key, (binv, age) in self._factor_pool.items():
                 basis_old = np.frombuffer(key, dtype=np.int64)
                 if basis_old.shape[0] != m_old:
                     continue  # predates an even older structure change
                 basis_ext = np.concatenate([basis_old, new_slacks])
                 binv_ext = bordered_binv(self._family, basis_ext, binv, m_old)
                 if binv_ext is not None:
-                    repooled[basis_ext.tobytes()] = binv_ext
+                    # The border is exact: it adds no age.
+                    repooled[basis_ext.tobytes()] = (binv_ext, age)
             self._factor_pool = repooled
             self._dual_entry_after_extension = True
         self.conversion_seconds += time.perf_counter() - start
@@ -581,7 +590,7 @@ class RelaxationContext:
         result = None
         if warm == SLACK_TOKEN and self._family.m:
             result = self._solve_dual(
-                lb, ub, slack_basis(self._family), np.eye(self._family.m)
+                lb, ub, slack_basis(self._family), (np.eye(self._family.m), 0)
             )
         elif warm_pair is not None:
             self.dual_entries += 1
@@ -592,10 +601,10 @@ class RelaxationContext:
                 self._dual_entry_after_extension = False
                 self.extension_dual_entries += 1
                 metrics.increment("relaxation.extension_dual_entries")
-            binv = self._factor_pool.get(
+            pooled = self._factor_pool.get(
                 np.asarray(warm_pair[0], dtype=np.int64).tobytes()
             )
-            result = self._solve_dual(lb, ub, warm_pair, binv)
+            result = self._solve_dual(lb, ub, warm_pair, pooled)
         engine = "dual"
         if result is None:
             engine = "primal"
@@ -605,9 +614,9 @@ class RelaxationContext:
             )
         dual_pivots = result.dual_pivots if engine == "dual" else 0
         if result.binv is not None:
-            # Either engine's verified inverse saves the next dual
+            # Either engine's checked inverse saves the next dual
             # re-entry on this basis its entry refactorization.
-            self._remember_factor(result.basis, result.binv)
+            self._remember_factor(result.basis, result.binv, result.binv_age)
         solve_elapsed = time.perf_counter() - start
         self.solve_seconds += solve_elapsed
         if warm_pair is not None:
@@ -653,6 +662,8 @@ class RelaxationContext:
             warm_started=warm_pair is not None and result.warm_started,
             warm_token=token,
             duals=result.duals,
+            primal_residual=result.primal_residual,
+            dual_residual=result.dual_residual,
         )
 
     def _solve_dual(
@@ -660,12 +671,15 @@ class RelaxationContext:
         lb: np.ndarray,
         ub: np.ndarray,
         pair: tuple[np.ndarray, np.ndarray],
-        binv: np.ndarray | None,
+        pooled: tuple[np.ndarray, int] | None,
     ):
-        """Dual-simplex attempt from ``pair``; ``None`` after a fallback exit."""
+        """Dual-simplex attempt from ``pair`` with an optional pooled
+        ``(inverse, age)``; ``None`` after a fallback exit."""
+        binv, age = pooled if pooled is not None else (None, 0)
         dres = solve_bounded_lp_dual(
             self._family, lb, ub,
-            max_iterations=self.max_iterations, warm=pair, binv=binv,
+            max_iterations=self.max_iterations, warm=pair,
+            binv=binv, binv_age=age,
         )
         if dres.status in ("dual_lost", "dual_infeasible"):
             self.dual_fallbacks += 1

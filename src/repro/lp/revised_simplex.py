@@ -14,15 +14,17 @@ are the ones every production LP code makes:
   become an equality (``A x + s = b`` with the row sense encoded in the
   slack's bounds), so the basis is ``m_structural`` wide instead of a
   dense standard form's ``m + ~2n`` bound-row-inflated system.
-* **Factorized basis + compact product-form updates.**  The basis
-  inverse is computed by LAPACK's LU (``numpy.linalg.inv`` =
-  getrf/getri) over the structural rows only.  Each pivot's eta matrix
+* **Explicit basis inverse + compact product-form updates.**  The
+  basis inverse is a dense explicit one, ``numpy.linalg.inv`` (LAPACK
+  getrf/getri), over the structural rows only.  Each pivot's eta matrix
   is then kept in the compact low-rank form ``B^-1 = B0^-1 + U V^T``
   (one column of ``U`` and one row of ``V^T`` per pivot), so FTRAN and
   BTRAN are two small matrix products each, with no Python loop over
-  the updates.  They are folded back into a fresh factorization every
+  the updates.  They are retired into a fresh factorization every
   :data:`REFACTOR_INTERVAL` pivots (and whenever a pivot looks
-  numerically suspect).
+  numerically suspect).  The dual engine may instead *fold* them into a
+  new explicit inverse (``binv + U V^T``, O(k m^2)); each inverse counts
+  its **age**, the updates folded into it since the last factorization.
 * **Pricing.**  Dantzig pricing over cyclic partial-pricing blocks,
   with a degeneracy watchdog: when the step length stalls long
   enough, Bland's rule takes over until progress resumes.  Fixed
@@ -63,6 +65,11 @@ DJ_TOL = 1e-9
 
 #: Primal feasibility tolerance on variable bounds.
 FEAS_TOL = 1e-9
+
+#: Largest relative primal and dual residual (``‖B x_B − (b − N x_N)‖∞ /
+#: (1 + ‖b − N x_N‖∞)`` and ``‖Bᵀy − c_B‖∞ / (1 + ‖c_B‖∞)``) with which
+#: the dual engine accepts an optimum reached through a folded inverse.
+RESIDUAL_TOL = 1e-9
 
 #: Minimum pivot magnitude accepted without an early refactorization.
 PIV_TOL = 1e-11
@@ -108,10 +115,18 @@ class RevisedResult:
     #: ``y_i <= 0``, so the reduced cost of a structural column is
     #: ``c_j - y . a_j``.  ``None`` on non-optimal exits.
     duals: np.ndarray | None = None
-    #: Basis inverse matching ``basis`` (optimal exits only — the
-    #: accuracy gate's refactorization leaves no pending updates, so it
-    #: is exact).  Callers may seed the next warm dual solve with it.
+    #: Explicit basis inverse matching ``basis`` (optimal exits only;
+    #: no product-form updates are pending).  The primal driver
+    #: refactors before accepting an optimum; the dual driver may fold
+    #: its updates in instead and then accepts only on small residuals.
+    #: Callers may seed the next warm dual solve with it.
     binv: np.ndarray | None = None
+    #: Updates folded into ``binv`` since its last true factorization.
+    binv_age: int = 0
+    #: Relative residuals of the optimal basis, from the sparse columns
+    #: (see :data:`RESIDUAL_TOL`); 0.0 on non-optimal exits.
+    primal_residual: float = 0.0
+    dual_residual: float = 0.0
     warm_started: bool = False
     message: str = ""
 
@@ -298,14 +313,20 @@ class _Solver:
         self.xval = np.zeros(self.N)
         self.xB = np.zeros(self.m)
         # Compact product form: B^-1 = binv + Ut[:k].T @ Vt[:k], where
-        # binv is the last refactorization's inverse (never written to),
-        # each pivot appends one row to Ut and one to Vt, and k counts
-        # the updates since the last refactorization.
+        # binv is an explicit inverse (never written to), each pivot
+        # appends one row to Ut and one to Vt, and k counts the updates
+        # since binv was made.  ``_age`` counts the updates folded into
+        # binv itself since its last true factorization.
         self.binv = np.eye(self.m)
         self._ut = np.empty((REFACTOR_INTERVAL, self.m))
         self._vt = np.empty((REFACTOR_INTERVAL, self.m))
         self._k = 0
+        self._age = 0
         self._cvec = np.concatenate([lp.c, np.zeros(self.m)])
+        self.primal_residual = 0.0
+        self.dual_residual = 0.0
+        #: Duals of the last :meth:`_measure` (the accepted optimum's).
+        self._y: np.ndarray | None = None
 
     # -- basis factorization & FTRAN/BTRAN ---------------------------------
 
@@ -330,7 +351,19 @@ class _Solver:
         self.refactorizations += 1
         self.eta_file_length += self._k
         self._k = 0
+        self._age = 0
         return True
+
+    def _fold(self) -> None:
+        """Fold the pending updates into a new explicit inverse, O(k m^2).
+
+        The result is a new array, so an inverse shared with a factor
+        pool is never mutated; it ages by the updates folded in.
+        """
+        k = self._k
+        self.binv = self.binv + self._ut[:k].T @ self._vt[:k]
+        self._age += k
+        self._k = 0
 
     def _ftran(self, v: np.ndarray) -> np.ndarray:
         """``B^-1 v`` = ``binv v + U (V^T v)``."""
@@ -410,12 +443,43 @@ class _Solver:
             np.where(vst == AT_UPPER, self.upper, 0.0),
         )
 
-    def _compute_xb(self) -> None:
+    def _nonbasic_rhs(self) -> np.ndarray:
+        """``b − N x_N``: the right-hand side the basic values must meet."""
         xs = np.where(self.vstat[: self.n] != BASIC, self.xval[: self.n], 0.0)
         rhs = self.lp.b - self.lp.a.matvec(xs)
         sl = np.where(self.vstat[self.n :] != BASIC, self.xval[self.n :], 0.0)
         rhs -= sl
-        self.xB = self._ftran(rhs)
+        return rhs
+
+    def _compute_xb(self) -> None:
+        self.xB = self._ftran(self._nonbasic_rhs())
+
+    def _measure(self) -> np.ndarray:
+        """Duals and reduced costs of the current basis, and both residuals.
+
+        ``y = c_B B^-1`` goes through the inverse; the residuals do not:
+        ``B x_B`` and ``Bᵀy`` are formed from the family's sparse columns,
+        so they check the inverse instead of trusting it.  Records the
+        relative residuals (see :data:`RESIDUAL_TOL`) and the duals, and
+        returns the reduced costs with the basic entries zeroed.
+        """
+        n = self.n
+        c_b = self._cvec[self.basis]
+        y = self._btran(c_b)
+        d = self._reduced_block(y, self._cvec, 0, self.N)
+        self.dual_residual = float(np.abs(d[self.basis]).max(initial=0.0)) / (
+            1.0 + float(np.abs(c_b).max(initial=0.0))
+        )
+        rhs = self._nonbasic_rhs()
+        xb = np.zeros(self.N)
+        xb[self.basis] = self.xB
+        bx = self.lp.a.matvec(xb[:n]) + xb[n:]
+        self.primal_residual = float(np.abs(bx - rhs).max(initial=0.0)) / (
+            1.0 + float(np.abs(rhs).max(initial=0.0))
+        )
+        self._y = y
+        d[self.basis] = 0.0
+        return d
 
     def _cold_start(self) -> None:
         self.basis, self.vstat = slack_basis(self.lp)
@@ -732,9 +796,12 @@ class _Solver:
             objective = float(self.lp.c @ x)
             basis = self.basis.copy()
             vstat = self.vstat.copy()
-            # The drivers refactor before accepting an optimum, so no
-            # updates are pending here and the BTRAN is exact.
-            duals = self._btran(self._cvec[self.basis]) if self.m else np.zeros(0)
+            # The primal driver refactors before accepting an optimum and
+            # the dual driver folds, so no updates are pending here.  The
+            # dual driver has already measured the basis it accepted.
+            if self._y is None:
+                self._measure()
+            duals = self._y
             if not self._k:
                 binv = self.binv
         elif status == "unbounded":
@@ -756,6 +823,9 @@ class _Solver:
             vstat=vstat,
             duals=duals,
             binv=binv,
+            binv_age=self._age if binv is not None else 0,
+            primal_residual=self.primal_residual if status == "optimal" else 0.0,
+            dual_residual=self.dual_residual if status == "optimal" else 0.0,
             warm_started=self.warm_started,
         )
 

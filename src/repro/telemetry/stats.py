@@ -101,7 +101,7 @@ class SolveStats:
     warm_start_misses: int = 0
 
     # -- revised simplex core ----------------------------------------------
-    #: Basis refactorizations (LU rebuilds retiring the eta file).
+    #: Basis refactorizations (dense inverse rebuilds retiring the eta file).
     refactorizations: int = 0
     #: Total eta-file length retired across refactorizations.
     eta_file_length: int = 0
@@ -115,6 +115,12 @@ class SolveStats:
     dual_pivots: int = 0
     #: Dual entries that fell back to the primal engine.
     dual_fallbacks: int = 0
+    #: Largest relative primal residual ``‖B x_B − (b − N x_N)‖∞ /
+    #: (1 + ‖b − N x_N‖∞)`` over the optimal node LPs.
+    max_primal_residual: float = 0.0
+    #: Largest relative dual residual ``‖Bᵀy − c_B‖∞ / (1 + ‖c_B‖∞)``
+    #: over the optimal node LPs.
+    max_dual_residual: float = 0.0
 
     # -- incremental warm path ---------------------------------------------
     #: 1 when this solve ran on a row-extended context instead of a rebuild.
@@ -186,6 +192,8 @@ class SolveStats:
             "dual_entries": self.dual_entries,
             "dual_pivots": self.dual_pivots,
             "dual_fallbacks": self.dual_fallbacks,
+            "max_primal_residual": self.max_primal_residual,
+            "max_dual_residual": self.max_dual_residual,
             "context_extended": self.context_extended,
             "hint_repaired": self.hint_repaired,
             "hint_repair_seconds": self.hint_repair_seconds,
@@ -235,6 +243,8 @@ class SolveStats:
             dual_entries=data.get("dual_entries", 0),
             dual_pivots=data.get("dual_pivots", 0),
             dual_fallbacks=data.get("dual_fallbacks", 0),
+            max_primal_residual=data.get("max_primal_residual", 0.0),
+            max_dual_residual=data.get("max_dual_residual", 0.0),
             context_extended=data.get("context_extended", 0),
             hint_repaired=data.get("hint_repaired", 0),
             hint_repair_seconds=data.get("hint_repair_seconds", 0.0),

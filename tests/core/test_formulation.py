@@ -14,6 +14,7 @@ from repro.core import (
     evaluate_plan,
 )
 from repro.core.latency import NO_PENALTY
+from repro.datasets import load_florida
 from repro.lp import SolveStatus, solve
 
 from ..conftest import PENALTY, make_datacenter
@@ -66,6 +67,30 @@ class TestModelStructure:
         state.app_groups[0].servers = 101  # exceeds both capacities
         with pytest.raises(InfeasibleModelError, match="fits no"):
             ConsolidationModel(state)
+
+    def test_assign_and_impact_rows_list_x_in_order(self):
+        """Each assign row holds its group's X in target order and each
+        impact row its site's X in group order, with unit coefficients."""
+        state = load_florida(seed=3, scale=0.1)
+        names = [dc.name for dc in state.target_datacenters]
+        for i, group in enumerate(state.app_groups):
+            group.forbidden_datacenters = frozenset(names[i % 3 :: 3])
+        state.params.business_impact = 0.5
+        model = ConsolidationModel(state)
+        assert len(model.x) < len(state.app_groups) * len(names)
+        rows = {row.name: row for row in model.problem.constraints}
+        for group in state.app_groups:
+            want = [model.x[group.name, n] for n in names if (group.name, n) in model.x]
+            terms = rows[f"assign[{group.name}]"].expr.terms()
+            assert list(terms) == want
+            assert set(terms.values()) == {1.0}
+        for n in names:
+            want = [
+                model.x[g.name, n] for g in state.app_groups if (g.name, n) in model.x
+            ]
+            terms = rows[f"impact[{n}]"].expr.terms()
+            assert want and list(terms) == want
+            assert set(terms.values()) == {1.0}
 
     def test_used_binaries_only_with_fixed_cost(self, fixed_cost_state, user_locations):
         model = ConsolidationModel(fixed_cost_state)

@@ -73,3 +73,13 @@ class TestSolveStatsBlock:
         text = render_solve_stats(SolveStats())
         line = next(row for row in text.splitlines() if "root LP" in row)
         assert line.endswith("0.000 (n/a)")
+
+    def test_residual_line_shows_both_maxima(self):
+        from repro.io.report import render_solve_stats
+        from repro.telemetry import SolveStats
+
+        text = render_solve_stats(
+            SolveStats(max_primal_residual=8.95e-13, max_dual_residual=1.3e-14)
+        )
+        line = next(row for row in text.splitlines() if "max residual" in row)
+        assert line.endswith("8.95e-13 / 1.30e-14")

@@ -72,6 +72,13 @@ class TestAsDict:
         empty = SolveStats.from_dict({})
         assert (empty.root_lp_seconds, empty.root_lp_engine) == (0.0, "")
 
+    def test_residual_maxima_round_trip(self):
+        s = SolveStats(max_primal_residual=3.5e-13, max_dual_residual=1.25e-14)
+        back = SolveStats.from_dict(json.loads(json.dumps(s.as_dict())))
+        assert (back.max_primal_residual, back.max_dual_residual) == (3.5e-13, 1.25e-14)
+        empty = SolveStats.from_dict({})  # a payload from before the fields
+        assert (empty.max_primal_residual, empty.max_dual_residual) == (0.0, 0.0)
+
     def test_finite_values_survive(self):
         s = SolveStats(best_bound=5.0, incumbent=6.0, mip_gap=0.2)
         data = s.as_dict()
