@@ -140,6 +140,8 @@ def _run_decomposition(state) -> dict:
         "rounds": outcome.rounds,
         "columns": outcome.columns,
         "lp_iterations": outcome.stats.lp_iterations,
+        "master_seconds": round(outcome.stats.extra["decomp_master_seconds"], 6),
+        "master_iterations": int(outcome.stats.extra["decomp_master_iterations"]),
         "coordination": outcome.coordination,
     }
 
@@ -197,7 +199,8 @@ def test_bench_decomposition_scaling(archive, archive_json):
         lines.append(
             f"  decomp {label:<14} {len(state.app_groups):>6} groups "
             f"{servers:>7} servers   {result['elapsed_seconds']:>6.1f}s "
-            f"gap {result['gap']:.2%} ({result['coordination']})"
+            f"gap {result['gap']:.2%} ({result['coordination']}; master "
+            f"{result['master_seconds']:.2f}s / {result['master_iterations']} pivots)"
         )
         assert result["solved"], f"{label}: blew the wall-clock budget"
         if must_certify:

@@ -10,8 +10,9 @@ only through the per-target capacity rows.  This module exploits that:
   rate, *without* building the monolithic MILP (which is exactly what
   becomes infeasible at 100k+ servers).
 * **Restricted master** — :class:`repro.lp.master.RestrictedMasterLP`
-  over the generated placement columns, solved by the builtin revised
-  simplex with warm-started re-solves, yielding capacity duals
+  over the generated placement columns, solved by a GUB primal simplex
+  (one key column per group, a working basis as wide as the capacity
+  rows) with warm-started re-solves, yielding capacity duals
   :math:`\\pi_j \\le 0` and convexity duals :math:`\\mu_g`.
 * **Parallel pricing** — per-group subproblems ("best site under the
   current duals") are chunked across worker processes via
@@ -22,8 +23,8 @@ only through the per-target capacity rows.  This module exploits that:
   with a mis-pricing re-check at the exact master duals before
   declaring convergence.
 * **Subgradient fallback** — beyond ``master_group_limit`` groups the
-  master basis (one convexity row per group) stops being cheap, so the
-  engine coordinates the same pricing oracle with a projected
+  master's pivot count and per-pivot pool pass grow with the groups,
+  so the engine coordinates the same pricing oracle with a projected
   subgradient ascent on the capacity duals instead; the Lagrangian
   function value is the same lower bound the master would certify.
 * **Primal rounding** — the greedy baseline, guided by the master's
@@ -553,10 +554,14 @@ def _improve_placement(
 
 def _run_master_loop(
     blocks: GroupBlocks, config: DecompositionConfig, deadline: float | None
-) -> tuple[float, np.ndarray, list[list[tuple[int, float]]] | None, int, int, int]:
+) -> tuple[
+    float, np.ndarray, list[list[tuple[int, float]]] | None, int, int, int, float
+]:
     """Column generation against the restricted master LP.
 
-    Returns ``(lower_bound, best_pi, support, rounds, columns, lp_iters)``.
+    Returns ``(lower_bound, best_pi, support, rounds, columns, lp_iters,
+    master_seconds)``; the last two total the master solves' pivots and
+    wall-clock time.
     """
     n_groups, n_targets = blocks.n_groups, blocks.n_targets
     finite = blocks.cost[np.isfinite(blocks.cost)]
@@ -573,9 +578,12 @@ def _run_master_loop(
     best_pi = np.zeros(n_targets)
     support: list[list[tuple[int, float]]] | None = None
     lp_iterations = 0
+    master_seconds = 0.0
     rounds = 0
     for rounds in range(1, config.max_rounds + 1):
+        started = time.perf_counter()
         solution = master.solve(max_iterations=config.master_iterations)
+        master_seconds += time.perf_counter() - started
         lp_iterations += solution.iterations
         if solution.status != "optimal":
             break
@@ -627,7 +635,10 @@ def _run_master_loop(
             break
         if deadline is not None and time.monotonic() > deadline:
             break
-    return best_lb, best_pi, support, rounds, master.n_columns - n_groups, lp_iterations
+    return (
+        best_lb, best_pi, support, rounds, master.n_columns - n_groups,
+        lp_iterations, master_seconds,
+    )
 
 
 def _run_subgradient_loop(
@@ -728,11 +739,12 @@ def solve_decomposition(
 
     columns = 0
     lp_iterations = 0
+    master_seconds = 0.0
     support: list[list[tuple[int, float]]] | None = None
     if coordination == "master":
-        lower, pi, support, rounds, columns, lp_iterations = _run_master_loop(
-            blocks, config, deadline
-        )
+        (
+            lower, pi, support, rounds, columns, lp_iterations, master_seconds
+        ) = _run_master_loop(blocks, config, deadline)
         # The master certifies the linearized-space LP bound; a short
         # subgradient polish on the exact Lagrangian (step-priced site
         # terms) from the master duals can only raise it.
@@ -792,6 +804,8 @@ def solve_decomposition(
             "decomp_targets": float(blocks.n_targets),
             "decomp_jobs": float(config.jobs),
             "decomp_master": 1.0 if coordination == "master" else 0.0,
+            "decomp_master_seconds": master_seconds,
+            "decomp_master_iterations": float(lp_iterations),
         },
     )
     plan.solver_stats = stats

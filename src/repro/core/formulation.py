@@ -238,11 +238,12 @@ class ConsolidationModel:
 
         # Primary assignment binaries, skipping statically impossible pairs.
         # Each group's X (in target order) and each site's X (in group
-        # order) are gathered here for the assign and impact rows.
+        # order) are gathered here for the assign, load and impact rows.
         targets = state.target_datacenters
         costs = placement_costs(state, self.options.wan_model).tolist()
         group_vars: list[list[Variable]] = []
         site_vars: list[list[Variable]] = [[] for _ in targets]
+        site_servers: list[list[int]] = [[] for _ in targets]
         for group, row, placeable in zip(
             state.app_groups, costs, state.placeable_mask().tolist()
         ):
@@ -261,7 +262,15 @@ class ConsolidationModel:
                 self._placement_cost[(group.name, dc.name)] = row[j]
                 vars_i.append(var)
                 site_vars[j].append(var)
+                site_servers[j].append(group.servers)
             group_vars.append(vars_i)
+        # Each site's primary load Σ_i S_i X_ij, built once and shared by
+        # the capacity row and the space terms (LinExpr arithmetic
+        # returns new objects, so sharing is safe).
+        self._site_load = {
+            dc.name: quicksum(var * s for var, s in zip(vars_j, servers_j))
+            for dc, vars_j, servers_j in zip(targets, site_vars, site_servers)
+        }
 
         # Constraint 1: every group gets exactly one primary site.
         for group, vars_i in zip(state.app_groups, group_vars):
@@ -327,12 +336,8 @@ class ConsolidationModel:
         prob.set_objective(objective)
 
     def _primary_load(self, dc: DataCenter) -> LinExpr:
-        """Σ_i X_ij S_i as a linear expression."""
-        return quicksum(
-            self.x[(g.name, dc.name)] * g.servers
-            for g in self.state.app_groups
-            if (g.name, dc.name) in self.x
-        )
+        """Σ_i X_ij S_i as a linear expression (shared; do not mutate)."""
+        return self._site_load[dc.name]
 
     def _total_load(self, dc: DataCenter) -> LinExpr:
         """Primary load plus backup pool (when DR is on)."""

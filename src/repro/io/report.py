@@ -60,6 +60,12 @@ def render_solve_stats(stats: SolveStats) -> str:
         f"{stats.presolve_tightened_bounds} bounds tightened "
         f"({stats.presolve_rounds} rounds)",
     ]
+    if "decomp_master_seconds" in stats.extra:
+        lines.append(
+            "  master LP seconds / pivots     "
+            f"{stats.extra['decomp_master_seconds']:.3f} / "
+            f"{stats.extra.get('decomp_master_iterations', 0.0):.0f}"
+        )
     return "\n".join(lines)
 
 

@@ -25,11 +25,12 @@ from repro.core.decomposition import (
 )
 from repro.core.formulation import ModelOptions
 from repro.core.planner import ETransformPlanner, PlannerOptions
-from repro.datasets import latency_line_scenario
+from repro.datasets import latency_line_scenario, load_enterprise1
 from repro.datasets.builders import EnterpriseSpec, build_enterprise_state
 from repro.lp.master import RestrictedMasterLP
 from tests.conftest import NO_PENALTY, make_datacenter
 from tests.oracles.decomposition import improve_placement, round_placement
+from tests.oracles.master import RevisedMasterLP
 from tests.oracles.placement import placement_cost
 
 
@@ -351,6 +352,18 @@ class TestDecompositionMechanics:
         assert stats.extra["decomp_groups"] == len(tiny_state.app_groups)
         assert outcome.plan.solver_stats is stats
 
+    def test_stats_record_the_master_layer(self, tiny_state):
+        master = solve_decomposition(
+            tiny_state, config=DecompositionConfig(coordination="master")
+        ).stats
+        assert master.extra["decomp_master_seconds"] > 0.0
+        assert master.extra["decomp_master_iterations"] == master.lp_iterations
+        subgradient = solve_decomposition(
+            tiny_state, config=DecompositionConfig(coordination="subgradient")
+        ).stats
+        assert subgradient.extra["decomp_master_seconds"] == 0.0
+        assert subgradient.extra["decomp_master_iterations"] == 0.0
+
     def test_config_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="coordination"):
             DecompositionConfig(coordination="annealing")
@@ -392,7 +405,7 @@ class TestMasterLoop:
         blocks = extract_group_blocks(state, ModelOptions())
         config = DecompositionConfig()
         solutions = record_master_solves(monkeypatch)
-        _lb, _pi, _support, rounds, _columns, _iters = _run_master_loop(
+        _lb, _pi, _support, rounds, _columns, _iters, _secs = _run_master_loop(
             blocks, config, None
         )
         assert rounds < config.max_rounds, "column generation did not converge"
@@ -416,3 +429,46 @@ class TestMasterLoop:
         )
         assert full.status == 0
         assert final.objective == pytest.approx(full.fun, rel=1e-7)
+
+    def test_master_inverts_nothing_wider_than_the_sites(self, monkeypatch):
+        """The GUB master factorizes only its J x J working basis."""
+        widths = []
+        inv = np.linalg.inv
+
+        def spy(matrix):
+            widths.append(np.shape(matrix))
+            return inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        state = synthetic_state()
+        outcome = solve_decomposition(
+            state, config=DecompositionConfig(coordination="master")
+        )
+        n_targets = len(state.target_datacenters)
+        assert outcome.coordination == "master"
+        assert widths, "the master never factorized its working basis"
+        assert set(widths) == {(n_targets, n_targets)}
+
+    def test_enterprise1_master_matches_the_revised_simplex_oracle(self, monkeypatch):
+        """The converged master LP bound, against the generic engine."""
+        masters = []
+        solve = RestrictedMasterLP.solve
+
+        def spy(self, *args, **kwargs):
+            solution = solve(self, *args, **kwargs)
+            masters.append((self, self.n_columns, solution))
+            return solution
+
+        monkeypatch.setattr(RestrictedMasterLP, "solve", spy)
+        blocks = extract_group_blocks(load_enterprise1(), ModelOptions())
+        config = DecompositionConfig(coordination="master")
+        _run_master_loop(blocks, config, None)
+        master, ncols, final = masters[-1]
+        assert final.status == "optimal" and final.artificial_weight < 1e-7
+        oracle = RevisedMasterLP(master.capacities, master.n_groups, master.col_cost[0])
+        for idx in range(master.n_groups, ncols):
+            oracle.add_column(
+                master.col_group[idx], master.col_target[idx],
+                master.col_cost[idx], master.col_load[idx],
+            )
+        assert final.objective == pytest.approx(oracle.solve().objective, rel=1e-9)
